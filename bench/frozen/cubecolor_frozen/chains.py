@@ -1,0 +1,664 @@
+"""Exact rectilinear chain algebra in the unit cube.
+
+A chain is a formal sum of axis-aligned cells of one dimension k inside
+Q = [0,1]^d, with coefficients mod 2 (default) or in Z.  Every coordinate
+is a `fractions.Fraction`, so all identities checked on these chains
+(boundary relations, volume inequalities) are exact, zero tolerance.
+
+Conventions used throughout:
+
+* A cell fixes some axes at a point and spans a closed interval on the
+  others; k is the number of interval axes.  Zero-length intervals are
+  never stored: an axis with lo == hi is a fixed axis.
+* The boundary operator uses the alternating cubical sign rule: for the
+  p-th interval axis (0-based, in increasing axis order) the top face
+  enters with sign (-1)^p and the bottom face with -(-1)^p.  Mod 2 the
+  signs are irrelevant.
+* "Relative" always means modulo the boundary of the cube: cells whose
+  support lies inside a facet {x_a = 0} or {x_a = 1} are discarded.
+* Chains are kept canonical: within one affine plane no two stored
+  cells overlap on a set of positive k-volume, and adjacent cells with
+  equal coefficients are merged.  Canonical forms are not unique across
+  different decompositions of the same set, so equality of chains is
+  decided by checking that the difference cancels to the empty chain.
+
+The filling operator `fill` inverts the boundary on relative cycles of
+dimension k < d without increasing volume.  It sweeps along the first
+available axis: the cycle is cut at a generic height t chosen in a slab
+where the cross-section volume is minimal, the two halves are coned to
+the opposite facets, and the cross-section itself is filled recursively
+inside the slice cube and extruded back.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Iterator
+
+MOD2 = "mod2"
+INTEGER = "int"
+_RINGS = (MOD2, INTEGER)
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+class ChainError(ValueError):
+    """Malformed chain or invalid chain operation."""
+
+
+class SectionError(ChainError):
+    """Cut height collides with a breakpoint of the chain."""
+
+
+class ConeError(ChainError):
+    """Cone input touches the facet opposite to the sweep target."""
+
+
+class FillError(ChainError):
+    """Filling was asked for something that is not a relative cycle."""
+
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x)
+
+
+class BoxCell:
+    """One axis-aligned cell: per axis either a fixed value or an interval.
+
+    Stored as a tuple of (lo, hi) pairs with lo == hi meaning "fixed".
+    Immutable and hashable, so cells can key coefficient maps.
+    """
+
+    __slots__ = ("extents",)
+
+    def __init__(self, extents):
+        ext = []
+        for e in extents:
+            if isinstance(e, tuple):
+                lo, hi = _frac(e[0]), _frac(e[1])
+            else:
+                lo = hi = _frac(e)
+            if not (ZERO <= lo <= hi <= ONE):
+                raise ChainError(f"cell extent out of [0,1]: ({lo}, {hi})")
+            ext.append((lo, hi))
+        object.__setattr__(self, "extents", tuple(ext))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BoxCell is immutable")
+
+    @property
+    def d(self) -> int:
+        return len(self.extents)
+
+    @property
+    def k(self) -> int:
+        return sum(1 for lo, hi in self.extents if lo < hi)
+
+    @property
+    def interval_axes(self) -> tuple[int, ...]:
+        return tuple(a for a, (lo, hi) in enumerate(self.extents) if lo < hi)
+
+    def is_interval(self, axis: int) -> bool:
+        lo, hi = self.extents[axis]
+        return lo < hi
+
+    def plane_key(self):
+        """Fixed coordinates, None on interval axes; identifies the affine plane."""
+        return tuple(None if lo < hi else lo for lo, hi in self.extents)
+
+    def volume(self) -> Fraction:
+        v = ONE
+        for lo, hi in self.extents:
+            if lo < hi:
+                v *= hi - lo
+        return v
+
+    def in_cube_boundary(self) -> bool:
+        """True when the whole cell lies inside a facet of the cube."""
+        return any(lo == hi and lo in (ZERO, ONE) for lo, hi in self.extents)
+
+    def replace(self, axis: int, lo, hi) -> "BoxCell":
+        lo, hi = _frac(lo), _frac(hi)
+        ext = list(self.extents)
+        ext[axis] = (lo, hi)
+        return BoxCell(ext)
+
+    def contains_point(self, point) -> bool:
+        return all(lo <= x <= hi for (lo, hi), x in zip(self.extents, point))
+
+    def intersect(self, other: "BoxCell") -> "BoxCell | None":
+        """Closed intersection, or None when empty.  May drop dimension."""
+        ext = []
+        for (alo, ahi), (blo, bhi) in zip(self.extents, other.extents):
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if lo > hi:
+                return None
+            ext.append((lo, hi))
+        return BoxCell(ext)
+
+    def touches(self, other: "BoxCell") -> bool:
+        return all(
+            max(alo, blo) <= min(ahi, bhi)
+            for (alo, ahi), (blo, bhi) in zip(self.extents, other.extents)
+        )
+
+    def __eq__(self, other):
+        return isinstance(other, BoxCell) and self.extents == other.extents
+
+    def __hash__(self):
+        return hash(self.extents)
+
+    def __repr__(self):
+        parts = []
+        for lo, hi in self.extents:
+            parts.append(f"{lo}" if lo == hi else f"[{lo},{hi}]")
+        return "Cell(" + " x ".join(parts) + ")"
+
+
+def cell(*specs) -> BoxCell:
+    """Convenience constructor: `cell((0, "1/2"), "1/4")` in d=2."""
+    return BoxCell(specs)
+
+
+def _reduce_coef(coef: int, ring: str) -> int:
+    if ring == MOD2:
+        return coef % 2
+    return coef
+
+
+def _canonical_terms(ring: str, raw: Iterable[tuple[BoxCell, int]]) -> dict[BoxCell, int]:
+    """Resolve coplanar overlaps and merge adjacent equal-coefficient cells.
+
+    Cells are grouped by affine plane; inside a group every cell is split
+    along the union of the group's breakpoints, coefficients are summed
+    pointwise, then maximal runs are re-merged axis by axis.
+    """
+    groups: dict[tuple, list[tuple[BoxCell, int]]] = {}
+    for c, coef in raw:
+        coef = _reduce_coef(coef, ring)
+        if coef == 0:
+            continue
+        groups.setdefault(c.plane_key(), []).append((c, coef))
+
+    out: dict[BoxCell, int] = {}
+    for key, members in groups.items():
+        free = [a for a, v in enumerate(key) if v is None]
+        if not free:
+            total = _reduce_coef(sum(coef for _, coef in members), ring)
+            if total:
+                out[members[0][0]] = total
+            continue
+
+        cuts = {a: sorted({p for c, _ in members for p in c.extents[a]}) for a in free}
+        atoms: dict[tuple, int] = {}
+        for c, coef in members:
+            per_axis = []
+            for a in free:
+                lo, hi = c.extents[a]
+                pts = [p for p in cuts[a] if lo <= p <= hi]
+                per_axis.append(list(zip(pts, pts[1:])))
+            for combo in itertools.product(*per_axis):
+                atoms[combo] = atoms.get(combo, 0) + coef
+
+        atoms = {
+            ext: cf
+            for ext, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items())
+            if cf
+        }
+        atoms = _merge_atoms(atoms, len(free))
+
+        for ext, coef in atoms.items():
+            full = list(key)
+            for pos, a in enumerate(free):
+                full[a] = ext[pos]
+            out[BoxCell(full)] = coef
+    return out
+
+
+def _merge_atoms(atoms: dict[tuple, int], nfree: int) -> dict[tuple, int]:
+    """Coalesce adjacent boxes with equal coefficients until stable."""
+    changed = True
+    while changed and len(atoms) > 1:
+        changed = False
+        for pos in range(nfree):
+            runs: dict[tuple, list] = {}
+            for ext, coef in atoms.items():
+                rest = ext[:pos] + ext[pos + 1 :]
+                runs.setdefault(rest, []).append((ext[pos], coef))
+            merged: dict[tuple, int] = {}
+            for rest, pieces in runs.items():
+                pieces.sort()
+                acc_lo, acc_hi, acc_cf = pieces[0][0][0], pieces[0][0][1], pieces[0][1]
+                done = []
+                for (lo, hi), cf in pieces[1:]:
+                    if lo == acc_hi and cf == acc_cf:
+                        acc_hi = hi
+                        changed = True
+                    else:
+                        done.append(((acc_lo, acc_hi), acc_cf))
+                        acc_lo, acc_hi, acc_cf = lo, hi, cf
+                done.append(((acc_lo, acc_hi), acc_cf))
+                for (lo, hi), cf in done:
+                    merged[rest[:pos] + ((lo, hi),) + rest[pos:]] = cf
+            atoms = merged
+    return atoms
+
+
+@dataclass
+class RectChain:
+    """Formal sum of k-dimensional cells in [0,1]^d, kept canonical."""
+
+    d: int
+    k: int
+    ring: str
+    terms: dict[BoxCell, int]
+
+    @staticmethod
+    def make(d: int, k: int, ring: str, raw: Iterable[tuple[BoxCell, int]]) -> "RectChain":
+        if ring not in _RINGS:
+            raise ChainError(f"unknown coefficient ring {ring!r}")
+        filtered = []
+        for c, coef in raw:
+            if c.d != d:
+                raise ChainError(f"cell dimension {c.d} does not match d={d}")
+            if c.k != k:
+                raise ChainError(f"cell {c} has dimension {c.k}, expected {k}")
+            filtered.append((c, coef))
+        return RectChain(d, k, ring, _canonical_terms(ring, filtered))
+
+    @staticmethod
+    def zero(d: int, k: int, ring: str = MOD2) -> "RectChain":
+        return RectChain(d, k, ring, {})
+
+    @staticmethod
+    def from_cells(d: int, cells: Iterable[BoxCell], ring: str = MOD2) -> "RectChain":
+        cells = list(cells)
+        if not cells:
+            raise ChainError("from_cells needs at least one cell; use zero()")
+        k = cells[0].k
+        return RectChain.make(d, k, ring, [(c, 1) for c in cells])
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def cells(self) -> Iterator[tuple[BoxCell, int]]:
+        return iter(sorted(self.terms.items(), key=lambda t: t[0].extents))
+
+    def volume(self) -> Fraction:
+        return sum((abs(cf) * c.volume() for c, cf in self.terms.items()), ZERO)
+
+    def _check_compatible(self, other: "RectChain"):
+        if self.d != other.d or self.ring != other.ring:
+            raise ChainError("chains live in different complexes")
+        if self.terms and other.terms and self.k != other.k:
+            raise ChainError(f"cannot combine a {self.k}-chain with a {other.k}-chain")
+
+    def __add__(self, other: "RectChain") -> "RectChain":
+        self._check_compatible(other)
+        k = self.k if self.terms else other.k
+        raw = list(self.terms.items()) + list(other.terms.items())
+        return RectChain.make(self.d, k, self.ring, raw)
+
+    def __neg__(self) -> "RectChain":
+        if self.ring == MOD2:
+            return self
+        return RectChain(self.d, self.k, self.ring, {c: -cf for c, cf in self.terms.items()})
+
+    def __sub__(self, other: "RectChain") -> "RectChain":
+        return self + (-other)
+
+    def scale(self, factor: int) -> "RectChain":
+        if self.ring == MOD2:
+            return RectChain.zero(self.d, self.k, self.ring) if factor % 2 == 0 else self
+        return RectChain.make(
+            self.d, self.k, self.ring, [(c, cf * factor) for c, cf in self.terms.items()]
+        )
+
+    def __eq__(self, other) -> bool:
+        """Semantic equality: the difference cancels pointwise."""
+        if not isinstance(other, RectChain):
+            return NotImplemented
+        if self.d != other.d or self.ring != other.ring:
+            return False
+        return (self - other).is_zero()
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __repr__(self):
+        if self.is_zero():
+            return f"RectChain(d={self.d}, k={self.k}, 0)"
+        return f"RectChain(d={self.d}, k={self.k}, {len(self.terms)} cells, vol={self.volume()})"
+
+
+def volume(c: RectChain) -> Fraction:
+    """Total k-volume: sum of |coefficient| times cell volume."""
+    return c.volume()
+
+
+def fundamental_chain(d: int, ring: str = MOD2) -> RectChain:
+    """The d-chain covering the cube once."""
+    return RectChain.make(d, d, ring, [(BoxCell([(ZERO, ONE)] * d), 1)])
+
+
+def modulo_boundary(c: RectChain) -> RectChain:
+    """Discard cells supported inside the boundary of the cube."""
+    kept = [(b, cf) for b, cf in c.terms.items() if not b.in_cube_boundary()]
+    return RectChain.make(c.d, c.k, c.ring, kept)
+
+
+def boundary(c: RectChain, relative: bool = False) -> RectChain:
+    """Cubical boundary; with `relative` the faces inside the cube boundary
+    are discarded, i.e. the class is taken modulo the cube boundary.
+
+    For 0-chains only the relative boundary is defined here (it vanishes);
+    asking for the absolute one raises, since 0-cells carry only the
+    augmentation.
+    """
+    if c.k == 0:
+        if not relative:
+            raise ChainError("0-chains have no absolute boundary here (augmentation only)")
+        return RectChain.zero(c.d, 0, c.ring)
+    raw = []
+    for b, coef in c.terms.items():
+        for p, axis in enumerate(b.interval_axes):
+            lo, hi = b.extents[axis]
+            sign = -1 if p % 2 else 1
+            top = b.replace(axis, hi, hi)
+            bot = b.replace(axis, lo, lo)
+            for face, s in ((top, sign), (bot, -sign)):
+                if relative and face.in_cube_boundary():
+                    continue
+                raw.append((face, coef * s))
+    return RectChain.make(c.d, c.k - 1, c.ring, raw)
+
+
+def is_relative_cycle(z: RectChain) -> bool:
+    """True when the boundary of z is supported inside the cube boundary."""
+    if z.k == 0:
+        return True
+    return boundary(z, relative=True).is_zero()
+
+
+def volume_split(z: RectChain, axis: int) -> tuple[Fraction, Fraction]:
+    """Volume split into the part orthogonal / parallel to the given axis."""
+    perp = par = ZERO
+    for b, cf in z.terms.items():
+        v = abs(cf) * b.volume()
+        if b.is_interval(axis):
+            par += v
+        else:
+            perp += v
+    return perp, par
+
+
+def _axis_breakpoints(z: RectChain, axis: int) -> list[Fraction]:
+    pts = {ZERO, ONE}
+    for b in z.terms:
+        lo, hi = b.extents[axis]
+        pts.add(lo)
+        pts.add(hi)
+    return sorted(pts)
+
+
+def sweep_slabs(z: RectChain, axis: int) -> list[tuple[Fraction, Fraction, Fraction, int]]:
+    """Decompose [0,1] into slabs on which the cross-section is constant.
+
+    Returns (lo, hi, section_volume, section_cell_count) per slab.  The
+    section at height t inside a slab consists of the cells with an
+    interval on `axis` containing the slab, each contributing its
+    (k-1)-volume.  Integrating section volume over t recovers exactly the
+    volume of the part of z parallel to the axis.
+    """
+    pts = _axis_breakpoints(z, axis)
+    slabs = []
+    for lo, hi in zip(pts, pts[1:]):
+        sec = ZERO
+        count = 0
+        for b, cf in z.terms.items():
+            blo, bhi = b.extents[axis]
+            if blo < bhi and blo <= lo and hi <= bhi:
+                sec += abs(cf) * (b.volume() / (bhi - blo))
+                count += 1
+        slabs.append((lo, hi, sec, count))
+    return slabs
+
+
+def section_and_split(
+    z: RectChain, axis: int, t
+) -> tuple[RectChain, RectChain, RectChain]:
+    """Cut z at {x_axis = t}: returns (section, lower half, upper half).
+
+    t must be generic: distinct from every fixed coordinate and interval
+    endpoint of z on the axis.  The halves satisfy z = z0 + z1 and, when z
+    is a relative cycle, the relative boundaries of z0 / z1 are +/- the
+    section.  The section carries the sign (-1)^p of the cut axis'
+    position among each cell's interval axes, so those identities hold in
+    the integer ring as well.
+    """
+    t = _frac(t)
+    if not ZERO < t < ONE:
+        raise SectionError(f"cut height {t} outside (0,1)")
+    sec_raw, lo_raw, hi_raw = [], [], []
+    for b, coef in z.terms.items():
+        blo, bhi = b.extents[axis]
+        if blo == bhi:
+            if blo == t:
+                raise SectionError(f"cut height {t} hits a fixed coordinate")
+            (lo_raw if blo < t else hi_raw).append((b, coef))
+            continue
+        if t in (blo, bhi):
+            raise SectionError(f"cut height {t} hits an interval endpoint")
+        if bhi < t:
+            lo_raw.append((b, coef))
+        elif blo > t:
+            hi_raw.append((b, coef))
+        else:
+            p = b.interval_axes.index(axis)
+            sign = -1 if p % 2 else 1
+            sec_raw.append((b.replace(axis, t, t), coef * sign))
+            lo_raw.append((b.replace(axis, blo, t), coef))
+            hi_raw.append((b.replace(axis, t, bhi), coef))
+    z_t = RectChain.make(z.d, max(z.k - 1, 0), z.ring, sec_raw)
+    z0 = RectChain.make(z.d, z.k, z.ring, lo_raw)
+    z1 = RectChain.make(z.d, z.k, z.ring, hi_raw)
+    return z_t, z0, z1
+
+
+def _cone_sign(b: BoxCell, axis: int) -> int:
+    # position the new interval axis would take among the cell's interval axes
+    q = sum(1 for a in b.interval_axes if a < axis)
+    return -1 if q % 2 else 1
+
+
+def cone_project(y: RectChain, axis: int, side: int) -> RectChain:
+    """Sweep y to the facet {x_axis = side}, producing a (k+1)-chain.
+
+    Cells fixed at c on the axis become the interval from c to the facet;
+    cells already spanning the axis sweep to a degenerate image and are
+    dropped.  Requires that no cell of y touches the opposite facet.
+    Writing I for this operator, the exact identity
+
+        boundary(I(y)) = y - I(boundary(y))   (modulo the cube boundary)
+
+    holds in both rings with the sign conventions of this module, and the
+    volume never grows: ||I(y)|| <= ||y||.
+    """
+    if side not in (0, 1):
+        raise ChainError("side must be 0 or 1")
+    opposite = ONE if side == 0 else ZERO
+    target = ZERO if side == 0 else ONE
+    raw = []
+    for b, coef in y.terms.items():
+        lo, hi = b.extents[axis]
+        if (side == 0 and hi == ONE) or (side == 1 and lo == ZERO):
+            raise ConeError(
+                f"cell {b} touches the facet x_{axis + 1}={opposite}; cannot sweep to {target}"
+            )
+        if lo < hi:
+            continue  # sweep direction already spanned: degenerate image
+        c = lo
+        new_lo, new_hi = (ZERO, c) if side == 0 else (c, ONE)
+        if new_lo == new_hi:
+            continue
+        sign = _cone_sign(b, axis)
+        if side == 1:
+            sign = -sign
+        raw.append((b.replace(axis, new_lo, new_hi), coef * sign))
+    return RectChain.make(y.d, y.k + 1, y.ring, raw)
+
+
+def _extrude(w: RectChain, axis: int) -> RectChain:
+    """Extend a chain fixed on `axis` to the full interval on that axis."""
+    raw = []
+    for b, coef in w.terms.items():
+        lo, hi = b.extents[axis]
+        if lo < hi:
+            raise ChainError("extrude input must be fixed on the sweep axis")
+        raw.append((b.replace(axis, ZERO, ONE), coef * _cone_sign(b, axis)))
+    return RectChain.make(w.d, w.k + 1, w.ring, raw)
+
+
+def _pick_slab(z: RectChain, axis: int) -> Fraction:
+    """Midpoint of the slab with minimal section volume (leftmost on ties)."""
+    best = None
+    for lo, hi, sec, _ in sweep_slabs(z, axis):
+        if best is None or sec < best[0]:
+            best = (sec, lo, hi)
+    _, lo, hi = best
+    return (lo + hi) / 2
+
+
+def _fill_rec(z: RectChain, axes: tuple[int, ...]) -> RectChain:
+    if z.is_zero():
+        return RectChain.zero(z.d, z.k + 1, z.ring)
+    axis = axes[0]
+    t = _pick_slab(z, axis)
+    z_t, z0, z1 = section_and_split(z, axis, t)
+    h = cone_project(z0, axis, 0) + cone_project(z1, axis, 1)
+    if not z_t.is_zero():
+        h = h - _extrude(_fill_rec(z_t, axes[1:]), axis)
+    return h
+
+
+def fill(z: RectChain) -> RectChain:
+    """Economical filling of a relative cycle.
+
+    Returns a (k+1)-chain H with boundary(H) = z modulo the cube boundary
+    and ||H|| <= ||z||, both exact.  Requires k < d and that z is a
+    relative cycle; in the integer ring fill(-z) == -fill(z) because every
+    choice made during the sweep depends only on |coefficients|.
+    """
+    if z.k >= z.d:
+        raise FillError(f"cannot fill a {z.k}-cycle in dimension {z.d}")
+    z = modulo_boundary(z)
+    if not is_relative_cycle(z):
+        raise FillError("input is not a relative cycle")
+    return _fill_rec(z, tuple(range(z.d)))
+
+
+def random_relative_cycle(
+    seed: int, d: int, k: int, size: int = 2, ring: str = MOD2
+) -> RectChain:
+    """Deterministic test-data generator: the relative boundary of `size`
+    random (k+1)-dimensional boxes, a relative cycle by d(d(c)) = 0."""
+    if k >= d:
+        raise ChainError("need k < d")
+    rng = random.Random(seed)
+    raw = []
+    for _ in range(size):
+        axes = sorted(rng.sample(range(d), k + 1))
+        ext = []
+        for a in range(d):
+            den = rng.choice([4, 5, 6, 8, 10, 12])
+            if a in axes:
+                i, j = sorted(rng.sample(range(den + 1), 2))
+                ext.append((Fraction(i, den), Fraction(j, den)))
+            else:
+                ext.append(Fraction(rng.randint(1, den - 1), den))
+        coef = 1 if ring == MOD2 else rng.choice([1, 1, 2, -1, -2])
+        raw.append((BoxCell(ext), coef))
+    c = RectChain.make(d, k + 1, ring, raw)
+    if c.is_zero():  # random boxes collided and cancelled; perturb the seed
+        return random_relative_cycle(seed + 10_000_019, d, k, size, ring)
+    return boundary(c, relative=True)
+
+
+def union_normalize(boxes: Iterable[BoxCell]) -> list[BoxCell]:
+    """Rewrite a family of same-dimension boxes as non-overlapping boxes
+    covering the same set (presence semantics, not mod-2 addition)."""
+    out: list[BoxCell] = []
+    groups: dict[tuple, list[BoxCell]] = {}
+    for b in boxes:
+        groups.setdefault(b.plane_key(), []).append(b)
+    for key, members in groups.items():
+        free = [a for a, v in enumerate(key) if v is None]
+        if not free:
+            out.append(members[0])
+            continue
+        cuts = {a: sorted({p for b in members for p in b.extents[a]}) for a in free}
+        atoms = set()
+        for b in members:
+            per_axis = []
+            for a in free:
+                lo, hi = b.extents[a]
+                pts = [p for p in cuts[a] if lo <= p <= hi]
+                per_axis.append(list(zip(pts, pts[1:])))
+            atoms.update(itertools.product(*per_axis))
+        merged = _merge_atoms({combo: 1 for combo in atoms}, len(free))
+        for ext in merged:
+            full = list(key)
+            for pos, a in enumerate(free):
+                full[a] = ext[pos]
+            out.append(BoxCell(full))
+    return out
+
+
+def union_volume(boxes: Iterable[BoxCell]) -> Fraction:
+    """Measure of the union of same-dimension boxes, overlaps counted once.
+    Points each contribute 1 (the empty product), so for 0-dimensional
+    input this counts the distinct points."""
+    total = ZERO
+    for b in union_normalize(boxes):
+        total += b.volume()
+    return total
+
+
+def dumps_chain(c: RectChain) -> str:
+    """Text dump, one cell per line: "coef | F p/q | I p/q p/q | ..."."""
+    lines = [f"# d={c.d} k={c.k} ring={c.ring}"]
+    for b, coef in c.cells():
+        specs = []
+        for lo, hi in b.extents:
+            specs.append(f"F {lo}" if lo == hi else f"I {lo} {hi}")
+        lines.append(f"{coef} | " + " | ".join(specs))
+    return "\n".join(lines) + "\n"
+
+
+def loads_chain(text: str) -> RectChain:
+    """Inverse of dumps_chain."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("#"):
+        raise ChainError("chain dump must start with a '# d=... k=... ring=...' header")
+    header = dict(part.split("=") for part in lines[0][1:].split())
+    d, k, ring = int(header["d"]), int(header["k"]), header["ring"]
+    raw = []
+    for ln in lines[1:]:
+        coef_str, *specs = [p.strip() for p in ln.split("|")]
+        ext = []
+        for sp in specs:
+            fields = sp.split()
+            if fields[0] == "F":
+                ext.append(Fraction(fields[1]))
+            elif fields[0] == "I":
+                ext.append((Fraction(fields[1]), Fraction(fields[2])))
+            else:
+                raise ChainError(f"bad axis spec {sp!r}")
+        raw.append((BoxCell(ext), int(coef_str)))
+    return RectChain.make(d, k, ring, raw)

@@ -1,0 +1,682 @@
+"""The certification pipeline on concrete colorings.
+
+Given a coloring of the n^d grid, this module
+
+1. perturbs the cubic partition into a *simple* one by shifting layers
+   (every point of the cube lies in at most d+1 closed cells),
+2. groups the shifted cells into monochromatic connected parts,
+3. builds the nerve of the covering by parts,
+4. materializes every intersection of parts as an exact rectilinear
+   chain, with the boundary of a k-fold intersection decomposing into
+   the (k+1)-fold ones,
+5. contracts: by descending induction every intersection chain is filled
+   so that the family F satisfies
+       boundary(F(s)) = C(s) - sum over extensions of F   (mod cube bdry),
+6. assembles per-part cycles X_i = C_i - sum_j F(i,j), checks that each
+   is a relative cycle, that they sum to the fundamental class of the
+   cube, tabulates the filling-volume sums S(i0, k), and verifies the
+   volume bookkeeping against the exact constants.
+
+All identities are checked with exact rational arithmetic; any failure
+is a hard error naming the offending simplex.  Coefficients are mod 2
+throughout the pipeline.
+
+Offsets are deterministic rationals: layers along axis l are translated
+diagonally by multiples of delta / p_l for distinct primes p_l > n.
+Genericity is verified constructively (tiling, disjointness, point
+multiplicity), never assumed.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
+
+from .bounds import factorial, g_constant
+from .chains import (
+    MOD2,
+    BoxCell,
+    RectChain,
+    boundary,
+    fill,
+    fundamental_chain,
+    is_relative_cycle,
+    modulo_boundary,
+    union_normalize,
+    union_volume,
+)
+from .gridcolor import GridColoring
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+class PartitionError(ValueError):
+    """Shifted partition failed its constructive verification."""
+
+
+class MultiplicityError(ValueError):
+    """The nerve has a simplex deeper than the declared multiplicity."""
+
+    def __init__(self, simplex):
+        self.simplex = simplex
+        super().__init__(
+            f"parts {simplex} share a point: multiplicity {len(simplex)} "
+            "exceeds the declared bound"
+        )
+
+
+class IdentityError(AssertionError):
+    """An exact chain identity failed; names the offending object."""
+
+
+def _first_primes_above(n: int, count: int) -> list[int]:
+    primes: list[int] = []
+    cand = n + 1
+    while len(primes) < count:
+        if cand > 1 and all(cand % p for p in range(2, int(math.isqrt(cand)) + 1)):
+            primes.append(cand)
+        cand += 1
+    return primes
+
+
+@dataclass(frozen=True)
+class PartitionCell:
+    box: BoxCell
+    lattice: tuple[int, ...]  # provenance: original grid cell (clamped)
+
+
+@dataclass
+class ShiftedPartition:
+    """A simple tiling of the cube by axis-aligned boxes with exact
+    rational corners; provenance maps every box to a grid cell."""
+
+    d: int
+    n: int
+    delta: Fraction
+    level_offsets: dict[int, Fraction]  # 1-based layering axis -> per-layer shift
+    cells: list[PartitionCell]
+
+    def max_multiplicity(self) -> int:
+        """Largest number of closed cells sharing a point, by scanning all
+        candidate grid vertices of the arrangement (the maximum is always
+        attained at one of them)."""
+        axes_values = [
+            sorted({v for pc in self.cells for v in pc.box.extents[a]})
+            for a in range(self.d)
+        ]
+        best = 0
+        for point in _product_points(axes_values):
+            count = sum(1 for pc in self.cells if pc.box.contains_point(point))
+            if count > best:
+                best = count
+        return best
+
+    def verify(self):
+        total = sum((pc.box.volume() for pc in self.cells), ZERO)
+        if total != ONE:
+            raise PartitionError(f"cells tile volume {total}, expected 1")
+        for pa, pb in combinations(self.cells, 2):
+            if all(
+                max(alo, blo) < min(ahi, bhi)
+                for (alo, ahi), (blo, bhi) in zip(pa.box.extents, pb.box.extents)
+            ):
+                raise PartitionError(f"cells overlap: {pa.box} and {pb.box}")
+        cap = Fraction(1, self.n) + 2 * self.delta
+        for pc in self.cells:
+            for a, (lo, hi) in enumerate(pc.box.extents):
+                length = hi - lo
+                if length > cap:
+                    raise PartitionError(f"cell {pc.box} too long on axis {a + 1}")
+                if length != Fraction(1, self.n) and lo != ZERO and hi != ONE:
+                    raise PartitionError(
+                        f"interior cell {pc.box} has non-standard length on axis {a + 1}"
+                    )
+        mult = self.max_multiplicity()
+        if mult > self.d + 1:
+            raise PartitionError(
+                f"point multiplicity {mult} exceeds d+1 = {self.d + 1}; "
+                "the offsets are not generic, pick another delta"
+            )
+
+
+def _product_points(axes_values):
+    if not axes_values:
+        yield ()
+        return
+    for rest in _product_points(axes_values[1:]):
+        for v in axes_values[0]:
+            yield (v, *rest)
+
+
+def build_shifted_partition(d: int, n: int, delta) -> ShiftedPartition:
+    """Recursively shifted tiling: the pattern in each layer along the
+    highest axis is the (d-1)-dimensional construction, and layer j is
+    translated diagonally by j * delta/p on all lower axes, with a
+    distinct prime p per level.  Cells overflowing the cube are clipped
+    and the vacated margins become new sliver cells whose provenance is
+    the nearest original grid cell."""
+    delta = Fraction(delta)
+    if d < 1 or n < 1:
+        raise PartitionError("need d >= 1 and n >= 1")
+    if not ZERO < delta < Fraction(1, 4 * n):
+        raise PartitionError(f"delta must lie strictly between 0 and 1/(4n), got {delta}")
+    primes = _first_primes_above(n, d)
+    offsets = {lvl: delta / primes[lvl - 1] for lvl in range(2, d + 1)}
+
+    step = Fraction(1, n)
+    cells: list[PartitionCell] = []
+
+    def rec(level: int, shift: Fraction, extents: list, lattice: list):
+        # extents / lattice are filled from axis d down to this level
+        if level == 0:
+            box = BoxCell(list(reversed(extents)))
+            cells.append(PartitionCell(box, tuple(reversed(lattice))))
+            return
+        s = shift if level < d else ZERO
+        i = math.floor(-s * n - 1) + 1
+        while True:
+            lo = i * step + s
+            hi = lo + step
+            clip_lo, clip_hi = max(ZERO, lo), min(ONE, hi)
+            if clip_lo >= ONE:
+                break
+            if clip_hi > clip_lo:
+                extents.append((clip_lo, clip_hi))
+                lattice.append(min(max(i, 0), n - 1))
+                rec(
+                    level - 1,
+                    shift + i * offsets.get(level, ZERO),
+                    extents,
+                    lattice,
+                )
+                extents.pop()
+                lattice.pop()
+            i += 1
+
+    rec(d, ZERO, [], [])
+    part = ShiftedPartition(d=d, n=n, delta=delta, level_offsets=offsets, cells=cells)
+    part.verify()
+    return part
+
+
+@dataclass
+class Part:
+    """One monochromatic connected component of the shifted partition."""
+
+    id: int
+    color: int
+    cell_ids: tuple[int, ...]
+    boxes: tuple[BoxCell, ...]
+    volume: Fraction
+
+    def chain(self) -> RectChain:
+        return RectChain.from_cells(self.boxes[0].d, self.boxes, MOD2)
+
+
+def mono_parts(p: ShiftedPartition, g: GridColoring) -> list[Part]:
+    """Group the partition cells into monochromatic parts, connected
+    through closed box intersection.  Part ids are assigned by the
+    smallest member cell index, so the output is deterministic."""
+    if p.d != g.d or p.n != g.n:
+        raise ValueError(f"partition is ({p.d},{p.n}), coloring is ({g.d},{g.n})")
+    colors = [g.color_at(pc.lattice) for pc in p.cells]
+    count = len(p.cells)
+    parent = list(range(count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(count):
+        for j in range(i + 1, count):
+            if colors[i] == colors[j] and p.cells[i].box.touches(p.cells[j].box):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+
+    groups: dict[int, list[int]] = {}
+    for i in range(count):
+        groups.setdefault(find(i), []).append(i)
+
+    parts = []
+    for pid, root in enumerate(sorted(groups)):
+        members = groups[root]
+        boxes = tuple(p.cells[i].box for i in members)
+        parts.append(
+            Part(
+                id=pid,
+                color=colors[root],
+                cell_ids=tuple(members),
+                boxes=boxes,
+                volume=sum((b.volume() for b in boxes), ZERO),
+            )
+        )
+    return parts
+
+
+@dataclass
+class Nerve:
+    """Simplices of the covering nerve, keyed by dimension; simplices are
+    sorted index tuples."""
+
+    simplices: dict[int, list[tuple[int, ...]]]
+    max_dim: int
+    _members: set = field(default_factory=set, repr=False)
+
+    def __contains__(self, simplex) -> bool:
+        return tuple(sorted(simplex)) in self._members
+
+    def extensions(self, simplex) -> list[tuple[int, ...]]:
+        """All (k+1)-simplices of the nerve containing the given one."""
+        s = tuple(sorted(simplex))
+        out = []
+        for t in self.simplices.get(len(s), []):
+            if set(s) <= set(t):
+                out.append(t)
+        return out
+
+
+def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
+    """All nonempty closed intersections of parts.
+
+    When `max_multiplicity` is given, a simplex on more parts than that is
+    reported as a hard MultiplicityError rather than silently accepted.
+    """
+    levels: dict[int, list[tuple[int, ...]]] = {0: [(p.id,) for p in parts]}
+    regions: dict[tuple[int, ...], list[BoxCell]] = {
+        (p.id,): list(p.boxes) for p in parts
+    }
+    k = 0
+    while levels.get(k):
+        nxt: list[tuple[int, ...]] = []
+        for s in levels[k]:
+            for j in range(s[-1] + 1, len(parts)):
+                pieces = []
+                seen = set()
+                for r in regions[s]:
+                    for b in parts[j].boxes:
+                        x = r.intersect(b)
+                        if x is not None and x not in seen:
+                            seen.add(x)
+                            pieces.append(x)
+                if pieces:
+                    t = s + (j,)
+                    if max_multiplicity is not None and len(t) > max_multiplicity:
+                        raise MultiplicityError(t)
+                    nxt.append(t)
+                    regions[t] = pieces
+        k += 1
+        if nxt:
+            levels[k] = nxt
+    max_dim = max(lvl for lvl, ss in levels.items() if ss)
+    members = {s for ss in levels.values() for s in ss}
+    return Nerve(simplices=levels, max_dim=max_dim, _members=members)
+
+
+def face_chain(parts: list[Part], simplex) -> RectChain:
+    """The intersection of the named parts as a chain of dimension d - k,
+    where k+1 is the number of parts: intersect all their boxes, keep the
+    pieces of exactly that dimension, each once.
+
+    A tuple that bounds no common point yields the zero chain.
+    """
+    s = tuple(sorted(simplex))
+    if len(set(s)) != len(s):
+        raise ValueError(f"repeated part index in {simplex}")
+    d = parts[0].boxes[0].d
+    k = len(s) - 1
+    target = d - k
+    if target < 0:
+        return RectChain.zero(d, 0, MOD2)
+    regions = list(parts[s[0]].boxes)
+    for pid in s[1:]:
+        nxt = []
+        seen = set()
+        for r in regions:
+            for b in parts[pid].boxes:
+                x = r.intersect(b)
+                if x is not None and x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        regions = nxt
+    kept = [b for b in regions if b.k == target]
+    if not kept:
+        return RectChain.zero(d, target, MOD2)
+    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept])
+    if chain.volume() != union_volume(kept):
+        # distinct cell pairs never overlap on positive measure in a simple
+        # partition; if they did, mod-2 addition would silently erase area
+        raise IdentityError(f"intersection pieces of {s} overlap with positive measure")
+    return chain
+
+
+@dataclass
+class ContractionFamily:
+    """Filling chains per nerve simplex of dimension >= 1: boundary(F(s))
+    equals C(s) minus the sum of F over the extensions of s."""
+
+    fillings: dict[tuple[int, ...], RectChain]
+
+    def get(self, simplex) -> RectChain | None:
+        return self.fillings.get(tuple(sorted(simplex)))
+
+
+def contraction(
+    parts: list[Part],
+    nrv: Nerve,
+    face_map: dict[tuple[int, ...], RectChain] | None = None,
+) -> ContractionFamily:
+    """Build the filling family by descending induction from the deepest
+    intersections.  The argument handed to the filling operator is checked
+    to be a relative cycle (fill raises otherwise)."""
+    if face_map is None:
+        face_map = {
+            s: face_chain(parts, s)
+            for k in range(1, nrv.max_dim + 1)
+            for s in nrv.simplices.get(k, [])
+        }
+    fillings: dict[tuple[int, ...], RectChain] = {}
+    for k in range(nrv.max_dim, 0, -1):
+        for s in nrv.simplices.get(k, []):
+            z = face_map[s]
+            for t in nrv.extensions(s):
+                z = z + fillings[t]
+            fillings[s] = fill(z)
+    return ContractionFamily(fillings)
+
+
+@dataclass
+class AuditReport:
+    """Everything the end-to-end audit measures, recomputed from chains."""
+
+    d: int
+    n: int
+    m: int
+    alpha: Fraction
+    part_volumes: list[Fraction]
+    S_table: dict[tuple[int, int], Fraction]  # (part, k) -> sum of filling volumes
+    s_bound_rows: list[dict]
+    s_bound_ok: bool
+    eq2_ok: bool
+    eq3_ok: bool
+    dXi_zero: bool
+    sum_is_Q: bool
+    X_volumes: list[Fraction]
+    max_X_volume: Fraction
+    all_X_below_one: bool
+    g_checks: list[dict]
+    g_ok: bool
+    failures: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json(self) -> dict:
+        def rat(x: Fraction):
+            return {"exact": f"{x.numerator}/{x.denominator}", "approx": float(x)}
+
+        return {
+            "d": self.d,
+            "n": self.n,
+            "m": self.m,
+            "alpha": rat(self.alpha),
+            "part_volumes": [rat(v) for v in self.part_volumes],
+            "S_table": [
+                {"part": i0, "k": k, "value": rat(v)}
+                for (i0, k), v in sorted(self.S_table.items())
+            ],
+            "s_bound_rows": [
+                {**row, "value": rat(row["value"]), "bound": rat(row["bound"])}
+                for row in self.s_bound_rows
+            ],
+            "max_X_volume": rat(self.max_X_volume),
+            "X_volumes": [rat(v) for v in self.X_volumes],
+            "all_X_below_one": self.all_X_below_one,
+            "identities": {
+                "eq2": self.eq2_ok,
+                "eq3": self.eq3_ok,
+                "dXi_zero": self.dXi_zero,
+                "sum_is_Q": self.sum_is_Q,
+                "s_recursion": self.s_bound_ok,
+            },
+            "g_checks": [
+                {**row, "skeleton": rat(row["skeleton"]), "bound": rat(row["bound"])}
+                for row in self.g_checks
+            ],
+            "g_ok": self.g_ok,
+            "failures": self.failures,
+        }
+
+
+def box_face_volume(box: BoxCell, k: int) -> tuple[int, Fraction]:
+    """Direct enumeration oracle: the number and total (d-k)-volume of the
+    codimension-k faces of one box.  A box with all axes of length L has
+    C(d,k) * 2^k faces of volume L^(d-k) each."""
+    axes = box.interval_axes
+    d = len(axes)
+    if not 0 <= k <= d:
+        raise ValueError(f"need 0 <= k <= {d}")
+    count = 0
+    total = ZERO
+    for fixed in combinations(axes, k):
+        vol = ONE
+        for a in axes:
+            if a not in fixed:
+                lo, hi = box.extents[a]
+                vol *= hi - lo
+        count += 2**k
+        total += (2**k) * vol
+    return count, total
+
+
+def skeleton_volume(part: Part, k: int, relative: bool = True) -> Fraction:
+    """Exact (d-k)-volume of the codimension-k skeleton of the part's
+    region.
+
+    The skeleton is geometric: codimension 1 is the topological boundary
+    of the union of the part's boxes (internal walls between boxes of the
+    same part are not faces of the region), and each deeper level is the
+    singular set of the previous one — the union of pairwise intersections
+    of its non-coflat pieces.  At k = d the result counts the corner
+    points, each once.
+
+    By default the skeleton is taken relative to the cube boundary, like
+    every other object in this pipeline: faces supported inside a facet
+    of the cube are dropped.  That is also the only variant for which the
+    volume bound with the constant g(d,k) holds at every part — the k=1
+    constant is exactly tight for a full interior cell, so the absolute
+    skeleton of a cell clipped by the cube boundary (losing width but
+    keeping its full-length faces) exceeds the bound by an O(delta) term.
+    Pass relative=False for the absolute skeleton.
+    """
+    d = part.boxes[0].d
+    if not 0 <= k <= d:
+        raise ValueError(f"need 0 <= k <= {d}")
+    if k == 0:
+        return part.volume
+    pieces = [b for b, _ in boundary(part.chain(), relative=relative).cells()]
+    for level in range(2, k + 1):
+        target = d - level
+        found = []
+        for b1, b2 in combinations(pieces, 2):
+            if b1.plane_key() == b2.plane_key():
+                continue  # coflat: same affine plane, no bend between them
+            x = b1.intersect(b2)
+            if x is not None and x.k == target:
+                if relative and x.in_cube_boundary():
+                    continue
+                found.append(x)
+        pieces = union_normalize(found)
+    return union_volume(pieces)
+
+
+def assemble_and_audit(
+    parts: list[Part],
+    nrv: Nerve,
+    family: ContractionFamily,
+    face_map: dict[tuple[int, ...], RectChain],
+    n: int,
+    m: int,
+    check_skeleton: bool = True,
+    strict: bool = True,
+) -> AuditReport:
+    """Assemble the per-part cycles and audit every exact identity and
+    volume bound.  With strict=True the first failure raises
+    IdentityError; otherwise all failures are collected in the report."""
+    d = parts[0].boxes[0].d
+    failures: list[str] = []
+
+    def fail(msg: str):
+        if strict:
+            raise IdentityError(msg)
+        failures.append(msg)
+
+    # intersection boundary relation, level by level
+    eq2_ok = True
+    for k in range(0, nrv.max_dim + 1):
+        for s in nrv.simplices.get(k, []):
+            c = parts[s[0]].chain() if k == 0 else face_map[s]
+            rhs = RectChain.zero(d, d - k - 1, MOD2)
+            for t in nrv.extensions(s):
+                rhs = rhs + face_map[t]
+            if boundary(c, relative=True) != modulo_boundary(rhs):
+                eq2_ok = False
+                fail(f"boundary decomposition fails at simplex {s}")
+
+    # contraction relation
+    eq3_ok = True
+    for s, f_chain in family.fillings.items():
+        rhs = face_map[s]
+        for t in nrv.extensions(s):
+            rhs = rhs + family.fillings[t]
+        if boundary(f_chain, relative=True) != modulo_boundary(rhs):
+            eq3_ok = False
+            fail(f"contraction relation fails at simplex {s}")
+
+    # per-part cycles
+    X_chains = []
+    for p in parts:
+        x = p.chain()
+        for t in nrv.extensions((p.id,)):
+            x = x + family.fillings[t]
+        X_chains.append(x)
+
+    dXi_zero = True
+    for p, x in zip(parts, X_chains):
+        if not is_relative_cycle(x):
+            dXi_zero = False
+            fail(f"X_{p.id} is not a relative cycle")
+
+    total = RectChain.zero(d, d, MOD2)
+    for x in X_chains:
+        total = total + x
+    sum_is_Q = total == fundamental_chain(d, MOD2)
+    if not sum_is_Q:
+        fail("the X_i do not sum to the fundamental class of the cube")
+
+    X_volumes = [x.volume() for x in X_chains]
+    max_X = max(X_volumes) if X_volumes else ZERO
+    all_below = all(v < ONE for v in X_volumes)
+    if all_below and sum_is_Q:
+        # impossible: the fundamental class is not a boundary
+        fail("every X_i has volume < 1 yet they sum to the cube")
+
+    # filling-volume table: S(i0, k) sums over ordered index tuples, so an
+    # unordered simplex containing i0 is counted k! times
+    alpha = max(p.volume for p in parts) * Fraction(n) ** m
+    S_table: dict[tuple[int, int], Fraction] = {}
+    for p in parts:
+        for k in range(1, m + 2):
+            tot = ZERO
+            for s in nrv.simplices.get(k, []):
+                if p.id in s and s in family.fillings:
+                    tot += family.fillings[s].volume()
+            S_table[(p.id, k)] = tot * factorial(k)
+
+    s_rows = []
+    s_ok = True
+    for p in parts:
+        for k in range(1, m + 1):
+            value = S_table[(p.id, k)]
+            bnd = (
+                factorial(k + 1) * g_constant(d, k) * alpha * Fraction(n) ** (k - m)
+                + S_table[(p.id, k + 1)]
+            )
+            ok = value <= bnd
+            s_rows.append({"part": p.id, "k": k, "value": value, "bound": bnd, "ok": ok})
+            if not ok:
+                s_ok = False
+                fail(f"filling-volume recursion bound fails for part {p.id}, k={k}")
+
+    g_rows = []
+    g_ok = True
+    if check_skeleton:
+        for p in parts:
+            for k in range(1, d + 1):
+                skel = skeleton_volume(p, k)
+                bnd = g_constant(d, k) * p.volume * Fraction(n) ** k
+                ok = skel <= bnd
+                g_rows.append(
+                    {"part": p.id, "k": k, "skeleton": skel, "bound": bnd, "ok": ok}
+                )
+                if not ok:
+                    g_ok = False
+                    fail(f"skeleton-volume bound fails for part {p.id}, k={k}")
+
+    return AuditReport(
+        d=d,
+        n=n,
+        m=m,
+        alpha=alpha,
+        part_volumes=[p.volume for p in parts],
+        S_table=S_table,
+        s_bound_rows=s_rows,
+        s_bound_ok=s_ok,
+        eq2_ok=eq2_ok,
+        eq3_ok=eq3_ok,
+        dXi_zero=dXi_zero,
+        sum_is_Q=sum_is_Q,
+        X_volumes=X_volumes,
+        max_X_volume=max_X,
+        all_X_below_one=all_below,
+        g_checks=g_rows,
+        g_ok=g_ok,
+        failures=failures,
+    )
+
+
+def certify_coloring(
+    g: GridColoring,
+    delta=None,
+    check_skeleton: bool = True,
+    strict: bool = True,
+) -> AuditReport:
+    """Run the whole pipeline on one coloring and audit it."""
+    if delta is None:
+        delta = Fraction(1, 16 * g.n)
+    partition = build_shifted_partition(g.d, g.n, delta)
+    parts = mono_parts(partition, g)
+    m = g.num_colors - 1
+    nrv = nerve(parts, max_multiplicity=max(m + 1, 1))
+    face_map = {
+        s: face_chain(parts, s)
+        for k in range(1, nrv.max_dim + 1)
+        for s in nrv.simplices.get(k, [])
+    }
+    family = contraction(parts, nrv, face_map)
+    return assemble_and_audit(
+        parts,
+        nrv,
+        family,
+        face_map,
+        n=g.n,
+        m=m,
+        check_skeleton=check_skeleton,
+        strict=strict,
+    )

@@ -1,0 +1,189 @@
+"""Constructions and searches for colorings with small maximal
+monochromatic components.
+
+The exhaustive scan is the brute-force oracle at desk scale; the stripe
+family and the annealer give upper-bound witnesses.  Everything is
+deterministic given its seed.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+from dataclasses import dataclass
+from itertools import product
+
+from .gridcolor import GridColoring, components
+
+DEFAULT_BUDGET = 2**24
+BUDGET_ENV = "CUBECOLOR_MAX_COLORINGS"
+
+
+class BudgetError(ValueError):
+    """Exhaustive scan would exceed the configured coloring budget."""
+
+
+def coloring_budget() -> int:
+    raw = os.environ.get(BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise BudgetError(f"bad {BUDGET_ENV} value {raw!r}") from None
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    d: int
+    n: int
+    num_colors: int
+    seed: int = 0
+    steps: int = 10_000
+    t_initial: float = 2.0
+    decay: float = 0.999
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if not 0.0 < self.decay < 1.0:
+            raise ValueError("decay must lie in (0,1)")
+
+
+def stripe_construction(d: int, n: int, num_colors: int, w: int) -> GridColoring:
+    """Diagonal stripes of width w: color = floor(sum of the first
+    min(num_colors, d) coordinates / w) mod num_colors."""
+    if w < 1:
+        raise ValueError("stripe width must be >= 1")
+    use = min(num_colors, d)
+    cells = []
+    for coords in _iter_coords(d, n):
+        s = sum(coords[:use])
+        cells.append((s // w) % num_colors)
+    return GridColoring(d, n, num_colors, tuple(cells))
+
+
+def _iter_coords(d: int, n: int):
+    # flat order: axis 1 fastest
+    for idx in range(n**d):
+        coords = []
+        rest = idx
+        for _ in range(d):
+            coords.append(rest % n)
+            rest //= n
+        yield tuple(coords)
+
+
+def random_coloring(d: int, n: int, num_colors: int, seed: int) -> GridColoring:
+    rng = random.Random(seed)
+    cells = tuple(rng.randrange(num_colors) for _ in range(n**d))
+    return GridColoring(d, n, num_colors, cells)
+
+
+def _objective(g: GridColoring) -> tuple[int, int, tuple[int, ...]]:
+    """Primary: max component size; ties: fewer maximal components, then
+    the lexicographically smaller grid."""
+    rep = components(g)
+    m = rep.max_size
+    return (m, sum(1 for s in rep.sizes if s == m), g.cells)
+
+
+def anneal(cfg: SearchConfig) -> tuple[GridColoring, list[int]]:
+    """Simulated annealing over single-cell recolorings.
+
+    Returns the best coloring found and the best-so-far objective trace
+    (one entry per step, non-increasing).  Never returns anything worse
+    than the initial random coloring.
+    """
+    rng = random.Random(cfg.seed)
+    current = random_coloring(cfg.d, cfg.n, cfg.num_colors, cfg.seed)
+    cur_obj = _objective(current)
+    best, best_obj = current, cur_obj
+    if cfg.num_colors < 2:  # no moves exist
+        return best, [cur_obj[0]] * cfg.steps
+    temp = cfg.t_initial
+    total = cfg.n**cfg.d
+    trace = []
+
+    for _ in range(cfg.steps):
+        idx = rng.randrange(total)
+        old = current.cells[idx]
+        new = rng.randrange(cfg.num_colors - 1)
+        if new >= old:
+            new += 1
+        cand_cells = current.cells[:idx] + (new,) + current.cells[idx + 1 :]
+        cand = GridColoring(cfg.d, cfg.n, cfg.num_colors, cand_cells)
+        cand_obj = _objective(cand)
+        delta = cand_obj[0] - cur_obj[0]
+        accept = delta < 0 or (delta == 0 and cand_obj <= cur_obj)
+        if not accept and temp > 1e-12:
+            accept = rng.random() < pow(2.718281828459045, -delta / temp)
+        if accept:
+            current, cur_obj = cand, cand_obj
+            if cur_obj < best_obj:
+                best, best_obj = current, cur_obj
+        temp *= cfg.decay
+        trace.append(best_obj[0])
+    return best, trace
+
+
+def coloring_from_index(d: int, n: int, num_colors: int, index: int) -> GridColoring:
+    """The index-th coloring in lexicographic cell order (cell 0 is the
+    most significant digit), used for chunked exhaustive scans."""
+    total = n**d
+    digits = [0] * total
+    for pos in range(total - 1, -1, -1):
+        digits[pos] = index % num_colors
+        index //= num_colors
+    return GridColoring(d, n, num_colors, tuple(digits))
+
+
+def exhaustive_min(
+    d: int, n: int, num_colors: int, budget: int | None = None
+) -> tuple[int, GridColoring]:
+    """Exact minimum over all colorings of the maximal monochromatic
+    component, with the lexicographically least witness.
+
+    The color of cell 0 is fixed to 0: permuting colors preserves the
+    component structure, so this loses nothing and divides the work by
+    num_colors.  The witness is still the global lexicographic minimum
+    because every witness has a color-permuted copy starting with 0.
+    """
+    total = n**d
+    cap = budget if budget is not None else coloring_budget()
+    if num_colors**total > cap:
+        raise BudgetError(
+            f"{num_colors}^{total} colorings exceed the budget of {cap}"
+        )
+    best_val = total + 1
+    best_witness = None
+    for rest in product(range(num_colors), repeat=total - 1):
+        g = GridColoring(d, n, num_colors, (0,) + rest)
+        val = components(g).max_size
+        if val < best_val:
+            best_val = val
+            best_witness = g
+    return best_val, best_witness
+
+
+def exhaustive_min_range(
+    d: int, n: int, num_colors: int, start: int, stop: int
+) -> tuple[int, int]:
+    """Scan colorings with indices in [start, stop) (cell-0-fixed indexing:
+    index enumerates the cells after the first).  Returns (value, index of
+    the first witness); used to split exhaustive work across workers."""
+    best_val = n**d + 1
+    best_idx = -1
+    rest_len = n**d - 1
+    for i in range(start, stop):
+        idx = i
+        digits = [0] * rest_len
+        for pos in range(rest_len - 1, -1, -1):
+            digits[pos] = idx % num_colors
+            idx //= num_colors
+        g = GridColoring(d, n, num_colors, (0, *digits))
+        val = components(g).max_size
+        if val < best_val:
+            best_val = val
+            best_idx = i
+    return best_val, best_idx
