@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 
 class BoundsError(ValueError):
@@ -67,13 +67,6 @@ class BoundsTable:
         if self.prior_2color is not None:
             lines.append(f"  prior_2color = {self.prior_2color}   (2-color bound at this n)")
         return "\n".join(lines)
-
-
-def factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def g_constant(d: int, k: int) -> Fraction:

@@ -61,12 +61,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.ring != chains.MOD2:
-        print(
-            "certify: only the mod-2 coefficient ring is implemented for the pipeline",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     g = _read_coloring(args.coloring)
     if g.d > CERTIFY_MAX_D or g.n > CERTIFY_MAX_N:
         print(
@@ -286,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the exact certification pipeline")
     p.add_argument("coloring")
     p.add_argument("--delta", help="partition offset, a rational like 1/32")
-    p.add_argument("--ring", default=chains.MOD2, choices=[chains.MOD2, chains.INTEGER])
     p.add_argument("--no-skeleton", action="store_true", help="skip skeleton checks")
     p.set_defaults(func=cmd_certify)
 

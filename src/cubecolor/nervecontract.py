@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
-from .bounds import factorial, g_constant
+from .bounds import g_constant
 from .chains import (
     MOD2,
     BoxCell,
@@ -100,19 +100,42 @@ class ShiftedPartition:
     cells: list[PartitionCell]
 
     def max_multiplicity(self) -> int:
-        """Largest number of closed cells sharing a point, by scanning all
-        candidate grid vertices of the arrangement (the maximum is always
-        attained at one of them)."""
-        axes_values = [
-            sorted({v for pc in self.cells for v in pc.box.extents[a]})
-            for a in range(self.d)
-        ]
-        best = 0
-        for point in _product_points(axes_values):
-            count = sum(1 for pc in self.cells if pc.box.contains_point(point))
-            if count > best:
-                best = count
-        return best
+        """Largest number of closed cells sharing a point, found exactly by
+        a sort-and-sweep over the cells' lower endpoints.
+
+        Why lower endpoints suffice: let S be the cells that contain a
+        deepest point.  Closed axis-parallel boxes that meet pairwise share
+        a point (Helly's theorem for boxes: on each axis, intervals that
+        meet pairwise share a point), and the lower corner of their common
+        box -- the largest lower endpoint over S on each axis -- is such a
+        point.  So some deepest point has every coordinate equal to a lower
+        endpoint of some cell.
+
+        The sweep recurses over the axes.  On axis a it walks the distinct
+        lower endpoints v of the active cells in increasing order, keeping
+        the cells with lo <= v <= hi on that axis, and recurses on those
+        survivors; after the last axis the survivors are exactly the cells
+        that contain the chosen point.  A branch whose survivors cannot
+        beat the best count so far is skipped.
+        """
+        d = self.d
+
+        def sweep(active: list, axis: int, best: int) -> int:
+            if axis == d:
+                return max(best, len(active))
+
+            def lo(ext):
+                return ext[axis][0]
+
+            open_: list = []
+            for v, opening in groupby(sorted(active, key=lo), key=lo):
+                open_ = [ext for ext in open_ if ext[axis][1] >= v]
+                open_.extend(opening)
+                if len(open_) > best:
+                    best = sweep(open_, axis + 1, best)
+            return best
+
+        return sweep([pc.box.extents for pc in self.cells], 0, 0)
 
     def verify(self):
         total = sum((pc.box.volume() for pc in self.cells), ZERO)
@@ -140,15 +163,6 @@ class ShiftedPartition:
                 f"point multiplicity {mult} exceeds d+1 = {self.d + 1}; "
                 "the offsets are not generic, pick another delta"
             )
-
-
-def _product_points(axes_values):
-    if not axes_values:
-        yield ()
-        return
-    for rest in _product_points(axes_values[1:]):
-        for v in axes_values[0]:
-            yield (v, *rest)
 
 
 def build_shifted_partition(d: int, n: int, delta) -> ShiftedPartition:
@@ -597,7 +611,7 @@ def assemble_and_audit(
             for s in nrv.simplices.get(k, []):
                 if p.id in s and s in family.fillings:
                     tot += family.fillings[s].volume()
-            S_table[(p.id, k)] = tot * factorial(k)
+            S_table[(p.id, k)] = tot * math.factorial(k)
 
     s_rows = []
     s_ok = True
@@ -605,7 +619,7 @@ def assemble_and_audit(
         for k in range(1, m + 1):
             value = S_table[(p.id, k)]
             bnd = (
-                factorial(k + 1) * g_constant(d, k) * alpha * Fraction(n) ** (k - m)
+                math.factorial(k + 1) * g_constant(d, k) * alpha * Fraction(n) ** (k - m)
                 + S_table[(p.id, k + 1)]
             )
             ok = value <= bnd
@@ -657,7 +671,12 @@ def certify_coloring(
     check_skeleton: bool = True,
     strict: bool = True,
 ) -> AuditReport:
-    """Run the whole pipeline on one coloring and audit it."""
+    """Run the whole pipeline on one coloring and audit it.  The audit's
+    constants are defined for at most d+1 colors (m <= d)."""
+    if g.num_colors > g.d + 1:
+        raise ValueError(
+            f"certify supports at most d+1 = {g.d + 1} colors, got {g.num_colors}"
+        )
     if delta is None:
         delta = Fraction(1, 16 * g.n)
     partition = build_shifted_partition(g.d, g.n, delta)

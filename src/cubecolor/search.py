@@ -57,21 +57,10 @@ def stripe_construction(d: int, n: int, num_colors: int, w: int) -> GridColoring
         raise ValueError("stripe width must be >= 1")
     use = min(num_colors, d)
     cells = []
-    for coords in _iter_coords(d, n):
-        s = sum(coords[:use])
+    for rev in product(range(n), repeat=d):  # flat order: axis 1 fastest
+        s = sum(rev[::-1][:use])
         cells.append((s // w) % num_colors)
     return GridColoring(d, n, num_colors, tuple(cells))
-
-
-def _iter_coords(d: int, n: int):
-    # flat order: axis 1 fastest
-    for idx in range(n**d):
-        coords = []
-        rest = idx
-        for _ in range(d):
-            coords.append(rest % n)
-            rest //= n
-        yield tuple(coords)
 
 
 def random_coloring(d: int, n: int, num_colors: int, seed: int) -> GridColoring:

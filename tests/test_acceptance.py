@@ -9,11 +9,12 @@ import json
 import time
 from fractions import Fraction as F
 from itertools import product
+from math import factorial
 from pathlib import Path
 
 import pytest
 
-from cubecolor.bounds import bound_table, factorial, g_constant
+from cubecolor.bounds import bound_table, g_constant
 from cubecolor.chains import (
     MOD2,
     boundary,

@@ -7,9 +7,12 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from importlib import resources
+from pathlib import Path
 
 from cubecolor import cli
 from cubecolor.search import stripe_construction
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -117,11 +120,32 @@ def test_certify_budget_exit_2(tmp_path, capsys):
     assert "budget" in err
 
 
-def test_certify_integer_ring_not_supported(tmp_path, capsys):
+def test_certify_ring_option_rejected(tmp_path, capsys):
+    # the pipeline is mod 2 only, so certify has no ring option at all
     path = write_coloring(tmp_path, "h.txt", "2 2 2\n0 1 0 1\n")
-    code, _, err = run(capsys, "certify", path, "--ring", "int")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", path, "--ring", "int"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ring int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header,cells", [("2 2 4", "0 1 2 3"), ("1 3 3", "0 1 2")])
+def test_certify_too_many_colors_exit_2(tmp_path, capsys, header, cells):
+    path = write_coloring(tmp_path, "c.txt", f"{header}\n{cells}\n")
+    code, out, err = run(capsys, "certify", path)
     assert code == 2
-    assert "mod-2" in err
+    assert out == ""
+    d = int(header.split()[0])
+    assert f"at most d+1 = {d + 1} colors" in err
+
+
+@pytest.mark.parametrize("name", ["certify_d3_n4_c2", "certify_d3_n4_c3"])
+def test_certify_d3_matches_stored_report(capsys, name):
+    # stored reports: a silent change in S_table or X_volumes fails here
+    code, out, _ = run(capsys, "certify", str(DATA / f"{name}.txt"))
+    assert code == 0
+    assert json.loads(out)["failures"] == []
+    assert out == (DATA / f"{name}.json").read_text()
 
 
 def test_certify_custom_delta(tmp_path, capsys):

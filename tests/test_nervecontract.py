@@ -2,17 +2,22 @@
 and the end-to-end audit."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubecolor.bounds import g_constant
-from cubecolor.chains import MOD2, RectChain, boundary, cell, modulo_boundary
+from cubecolor.chains import MOD2, BoxCell, RectChain, boundary, cell, modulo_boundary
 from cubecolor.gridcolor import parse_coloring
 from cubecolor.nervecontract import (
     IdentityError,
     MultiplicityError,
     Part,
+    PartitionCell,
     PartitionError,
+    ShiftedPartition,
     assemble_and_audit,
     box_face_volume,
     build_shifted_partition,
@@ -63,6 +68,77 @@ def test_partition_provenance_clamped():
     p = build_shifted_partition(2, 2, F(1, 16))
     sliver = min(p.cells, key=lambda pc: pc.box.volume())
     assert sliver.lattice == (0, 1)  # nearest original cell
+
+
+def scan_multiplicity(p):
+    """Oracle: count the cells containing each vertex of the arrangement
+    (every combination of cell endpoints, one value per axis)."""
+    axes = [sorted({v for pc in p.cells for v in pc.box.extents[a]}) for a in range(p.d)]
+    return max(sum(1 for pc in p.cells if pc.box.contains_point(pt)) for pt in product(*axes))
+
+
+def partition_of(boxes, d) -> ShiftedPartition:
+    return ShiftedPartition(
+        d=d,
+        n=1,
+        delta=F(0),
+        level_offsets={},
+        cells=[PartitionCell(BoxCell(b), (0,) * d) for b in boxes],
+    )
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in (1, 2, 3, 4)])
+def test_multiplicity_sweep_matches_vertex_scan(d, n):
+    p = build_shifted_partition(d, n, F(1, 16 * n))  # certify's default delta
+    assert p.max_multiplicity() == scan_multiplicity(p)
+
+
+def _coordinate():
+    # small denominators, so corners coincide and boxes touch at faces
+    # and corners often; lo == hi gives a zero-width extent
+    return st.integers(1, 4).flatmap(lambda q: st.integers(0, q).map(lambda k: F(k, q)))
+
+
+@st.composite
+def box_families(draw):
+    d = draw(st.integers(1, 3))
+    extent = st.tuples(_coordinate(), _coordinate()).map(lambda e: tuple(sorted(e)))
+    boxes = draw(st.lists(st.lists(extent, min_size=d, max_size=d), min_size=1, max_size=9))
+    return partition_of(boxes, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_families())
+def test_multiplicity_sweep_matches_vertex_scan_on_box_families(p):
+    assert p.max_multiplicity() == scan_multiplicity(p)
+
+
+def test_multiplicity_counts_boxes_touching_at_a_corner_and_a_face():
+    half = F(1, 2)
+    corner = [((0, half), (0, half)), ((half, 1), (half, 1))]
+    assert partition_of(corner, 2).max_multiplicity() == 2
+    face = [((0, half), (0, 1)), ((half, 1), (0, 1)), ((half, half), (half, half))]
+    assert partition_of(face, 2).max_multiplicity() == 3
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unshifted_grid_fails_genericity(d):
+    # all offsets zero: the 2^d cells of the n=2 grid meet at the centre
+    half = F(1, 2)
+    cells = [
+        PartitionCell(BoxCell([(c * half, (c + 1) * half) for c in coords]), coords)
+        for coords in product((0, 1), repeat=d)
+    ]
+    p = ShiftedPartition(
+        d=d,
+        n=2,
+        delta=F(1, 32),
+        level_offsets={lvl: F(0) for lvl in range(2, d + 1)},
+        cells=cells,
+    )
+    assert p.max_multiplicity() == 2**d
+    with pytest.raises(PartitionError, match=rf"multiplicity {2**d} exceeds d\+1 = {d + 1}"):
+        p.verify()
 
 
 def test_partition_rejects_large_delta():
@@ -249,6 +325,19 @@ def test_contraction_relation_random(seed):
 
 
 # ---------------------------------------------------------------- audit
+
+
+@pytest.mark.parametrize("text", ["2 2 4\n0 1 2 3", "1 3 3\n0 1 2"])
+def test_certify_rejects_more_than_d_plus_one_colors(text, monkeypatch):
+    import cubecolor.nervecontract as nc
+
+    def no_partition(*args, **kwargs):
+        raise AssertionError("the partition was built before the color check")
+
+    monkeypatch.setattr(nc, "build_shifted_partition", no_partition)
+    g = parse_coloring(text)
+    with pytest.raises(ValueError, match=rf"at most d\+1 = {g.d + 1} colors, got {g.num_colors}"):
+        certify_coloring(g)
 
 
 def test_audit_single_part_is_the_cube():
