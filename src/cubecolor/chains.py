@@ -172,29 +172,20 @@ def _reduce_coef(coef: int, ring: str) -> int:
     return coef
 
 
-def _canonical_terms(ring: str, raw: Iterable[tuple[BoxCell, int]]) -> dict[BoxCell, int]:
-    """Resolve coplanar overlaps and merge adjacent equal-coefficient cells.
+def _split_planes(raw: Iterable[tuple[BoxCell, int]]):
+    """Group cells by affine plane and cut each group on its breakpoints.
 
-    Cells are grouped by affine plane; inside a group every cell is split
-    along the union of the group's breakpoints, coefficients are summed
-    pointwise, then maximal runs are re-merged axis by axis.
+    Yields (plane key, free axes, atoms) per plane.  Inside a plane every
+    cell is split along the union of the group's breakpoints on each free
+    axis; atoms maps each elementary box (one (lo, hi) pair per free axis)
+    to the summed coefficient of the cells covering it.  A plane with no
+    free axis (a point) has the single atom ().
     """
     groups: dict[tuple, list[tuple[BoxCell, int]]] = {}
     for c, coef in raw:
-        coef = _reduce_coef(coef, ring)
-        if coef == 0:
-            continue
         groups.setdefault(c.plane_key(), []).append((c, coef))
-
-    out: dict[BoxCell, int] = {}
     for key, members in groups.items():
         free = [a for a, v in enumerate(key) if v is None]
-        if not free:
-            total = _reduce_coef(sum(coef for _, coef in members), ring)
-            if total:
-                out[members[0][0]] = total
-            continue
-
         cuts = {a: sorted({p for c, _ in members for p in c.extents[a]}) for a in free}
         atoms: dict[tuple, int] = {}
         for c, coef in members:
@@ -205,19 +196,31 @@ def _canonical_terms(ring: str, raw: Iterable[tuple[BoxCell, int]]) -> dict[BoxC
                 per_axis.append(list(zip(pts, pts[1:])))
             for combo in itertools.product(*per_axis):
                 atoms[combo] = atoms.get(combo, 0) + coef
+        yield key, free, atoms
 
+
+def _rebuild(key: tuple, free: list[int], ext: tuple) -> BoxCell:
+    """The cell on the plane `key` with the given extents on its free axes."""
+    full = list(key)
+    for pos, a in enumerate(free):
+        full[a] = ext[pos]
+    return BoxCell(full)
+
+
+def _canonical_terms(ring: str, raw: Iterable[tuple[BoxCell, int]]) -> dict[BoxCell, int]:
+    """Resolve coplanar overlaps and merge adjacent equal-coefficient cells:
+    coefficients are summed pointwise on each plane's atoms, then maximal
+    runs are re-merged axis by axis."""
+    reduced = ((c, _reduce_coef(coef, ring)) for c, coef in raw)
+    out: dict[BoxCell, int] = {}
+    for key, free, atoms in _split_planes((c, cf) for c, cf in reduced if cf):
         atoms = {
             ext: cf
             for ext, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items())
             if cf
         }
-        atoms = _merge_atoms(atoms, len(free))
-
-        for ext, coef in atoms.items():
-            full = list(key)
-            for pos, a in enumerate(free):
-                full[a] = ext[pos]
-            out[BoxCell(full)] = coef
+        for ext, coef in _merge_atoms(atoms, len(free)).items():
+            out[_rebuild(key, free, ext)] = coef
     return out
 
 
@@ -568,8 +571,10 @@ def random_relative_cycle(
 ) -> RectChain:
     """Deterministic test-data generator: the relative boundary of `size`
     random (k+1)-dimensional boxes, a relative cycle by d(d(c)) = 0."""
-    if k >= d:
-        raise ChainError("need k < d")
+    if not 0 <= k < d:
+        raise ChainError(f"need 0 <= k < d, got k={k}, d={d}")
+    if size < 1:
+        raise ChainError(f"need size >= 1, got {size}")
     rng = random.Random(seed)
     raw = []
     for _ in range(size):
@@ -594,29 +599,9 @@ def union_normalize(boxes: Iterable[BoxCell]) -> list[BoxCell]:
     """Rewrite a family of same-dimension boxes as non-overlapping boxes
     covering the same set (presence semantics, not mod-2 addition)."""
     out: list[BoxCell] = []
-    groups: dict[tuple, list[BoxCell]] = {}
-    for b in boxes:
-        groups.setdefault(b.plane_key(), []).append(b)
-    for key, members in groups.items():
-        free = [a for a, v in enumerate(key) if v is None]
-        if not free:
-            out.append(members[0])
-            continue
-        cuts = {a: sorted({p for b in members for p in b.extents[a]}) for a in free}
-        atoms = set()
-        for b in members:
-            per_axis = []
-            for a in free:
-                lo, hi = b.extents[a]
-                pts = [p for p in cuts[a] if lo <= p <= hi]
-                per_axis.append(list(zip(pts, pts[1:])))
-            atoms.update(itertools.product(*per_axis))
-        merged = _merge_atoms({combo: 1 for combo in atoms}, len(free))
-        for ext in merged:
-            full = list(key)
-            for pos, a in enumerate(free):
-                full[a] = ext[pos]
-            out.append(BoxCell(full))
+    for key, free, atoms in _split_planes((b, 1) for b in boxes):
+        merged = _merge_atoms(dict.fromkeys(atoms, 1), len(free))
+        out.extend(_rebuild(key, free, ext) for ext in merged)
     return out
 
 

@@ -69,7 +69,14 @@ def cmd_certify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    delta = Fraction(args.delta) if args.delta else None
+    try:
+        delta = Fraction(args.delta) if args.delta else None
+    except (ValueError, ZeroDivisionError):
+        print(
+            f"certify: bad --delta {args.delta!r}, want a rational like 1/32",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     report = nervecontract.certify_coloring(
         g, delta=delta, check_skeleton=not args.no_skeleton, strict=False
     )
@@ -93,8 +100,8 @@ def _fill_one(task) -> tuple[int, str]:
 
 
 def cmd_fill_test(args) -> int:
-    if args.k >= args.d or args.d > 4:
-        print("fill-test: need k < d <= 4", file=sys.stderr)
+    if not 0 <= args.k < args.d <= 4 or args.size < 1:
+        print("fill-test: need 0 <= k < d <= 4 and size >= 1", file=sys.stderr)
         return EXIT_USAGE
     tasks = [(seed, args.d, args.k, args.size, args.ring) for seed in range(args.count)]
     failures = []

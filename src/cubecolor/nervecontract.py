@@ -5,14 +5,14 @@ Given a coloring of the n^d grid, this module
 1. perturbs the cubic partition into a *simple* one by shifting layers
    (every point of the cube lies in at most d+1 closed cells),
 2. groups the shifted cells into monochromatic connected parts,
-3. builds the nerve of the covering by parts,
-4. materializes every intersection of parts as an exact rectilinear
+3. builds the nerve of the covering by parts, and in the same pass
+   materializes every intersection of parts as an exact rectilinear
    chain, with the boundary of a k-fold intersection decomposing into
    the (k+1)-fold ones,
-5. contracts: by descending induction every intersection chain is filled
+4. contracts: by descending induction every intersection chain is filled
    so that the family F satisfies
        boundary(F(s)) = C(s) - sum over extensions of F   (mod cube bdry),
-6. assembles per-part cycles X_i = C_i - sum_j F(i,j), checks that each
+5. assembles per-part cycles X_i = C_i - sum_j F(i,j), checks that each
    is a relative cycle, that they sum to the fundamental class of the
    cube, tabulates the filling-volume sums S(i0, k), and verifies the
    volume bookkeeping against the exact constants.
@@ -276,14 +276,17 @@ def mono_parts(p: ShiftedPartition, g: GridColoring) -> list[Part]:
 @dataclass
 class Nerve:
     """Simplices of the covering nerve, keyed by dimension; simplices are
-    sorted index tuples."""
+    sorted index tuples.  `faces` maps every simplex to its intersection
+    chain: a vertex (i,) to the chain of part i, k+1 parts to the pieces
+    of dimension d - k of their common intersection, each once (the zero
+    chain when the parts meet only in lower dimension)."""
 
     simplices: dict[int, list[tuple[int, ...]]]
     max_dim: int
-    _members: set = field(default_factory=set, repr=False)
+    faces: dict[tuple[int, ...], RectChain] = field(repr=False)
 
     def __contains__(self, simplex) -> bool:
-        return tuple(sorted(simplex)) in self._members
+        return tuple(sorted(simplex)) in self.faces
 
     def extensions(self, simplex) -> list[tuple[int, ...]]:
         """All (k+1)-simplices of the nerve containing the given one."""
@@ -295,16 +298,36 @@ class Nerve:
         return out
 
 
-def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
-    """All nonempty closed intersections of parts.
+def _face(simplex: tuple[int, ...], pieces: list[BoxCell]) -> RectChain:
+    """The chain of dimension d - k carried by the distinct intersection
+    pieces of k+1 parts."""
+    d = pieces[0].d
+    target = d - (len(simplex) - 1)
+    kept = [b for b in pieces if b.k == target]
+    if not kept:
+        return RectChain.zero(d, max(target, 0), MOD2)
+    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept])
+    if chain.volume() != union_volume(kept):
+        # distinct cell pairs never overlap on positive measure in a simple
+        # partition; if they did, mod-2 addition would silently erase area
+        raise IdentityError(f"intersection pieces of {simplex} overlap with positive measure")
+    return chain
 
-    When `max_multiplicity` is given, a simplex on more parts than that is
-    reported as a hard MultiplicityError rather than silently accepted.
+
+def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
+    """All nonempty closed intersections of parts, with their chains.
+
+    The intersection of a simplex's parts is built by extending the
+    region of its prefix with the boxes of the last part, so every
+    intersection is computed once.  When `max_multiplicity` is given, a
+    simplex on more parts than that is reported as a hard
+    MultiplicityError rather than silently accepted.
     """
     levels: dict[int, list[tuple[int, ...]]] = {0: [(p.id,) for p in parts]}
     regions: dict[tuple[int, ...], list[BoxCell]] = {
         (p.id,): list(p.boxes) for p in parts
     }
+    faces = {(p.id,): p.chain() for p in parts}
     k = 0
     while levels.get(k):
         nxt: list[tuple[int, ...]] = []
@@ -324,49 +347,12 @@ def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
                         raise MultiplicityError(t)
                     nxt.append(t)
                     regions[t] = pieces
+                    faces[t] = _face(t, pieces)
         k += 1
         if nxt:
             levels[k] = nxt
     max_dim = max(lvl for lvl, ss in levels.items() if ss)
-    members = {s for ss in levels.values() for s in ss}
-    return Nerve(simplices=levels, max_dim=max_dim, _members=members)
-
-
-def face_chain(parts: list[Part], simplex) -> RectChain:
-    """The intersection of the named parts as a chain of dimension d - k,
-    where k+1 is the number of parts: intersect all their boxes, keep the
-    pieces of exactly that dimension, each once.
-
-    A tuple that bounds no common point yields the zero chain.
-    """
-    s = tuple(sorted(simplex))
-    if len(set(s)) != len(s):
-        raise ValueError(f"repeated part index in {simplex}")
-    d = parts[0].boxes[0].d
-    k = len(s) - 1
-    target = d - k
-    if target < 0:
-        return RectChain.zero(d, 0, MOD2)
-    regions = list(parts[s[0]].boxes)
-    for pid in s[1:]:
-        nxt = []
-        seen = set()
-        for r in regions:
-            for b in parts[pid].boxes:
-                x = r.intersect(b)
-                if x is not None and x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        regions = nxt
-    kept = [b for b in regions if b.k == target]
-    if not kept:
-        return RectChain.zero(d, target, MOD2)
-    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept])
-    if chain.volume() != union_volume(kept):
-        # distinct cell pairs never overlap on positive measure in a simple
-        # partition; if they did, mod-2 addition would silently erase area
-        raise IdentityError(f"intersection pieces of {s} overlap with positive measure")
-    return chain
+    return Nerve(simplices=levels, max_dim=max_dim, faces=faces)
 
 
 @dataclass
@@ -380,24 +366,14 @@ class ContractionFamily:
         return self.fillings.get(tuple(sorted(simplex)))
 
 
-def contraction(
-    parts: list[Part],
-    nrv: Nerve,
-    face_map: dict[tuple[int, ...], RectChain] | None = None,
-) -> ContractionFamily:
+def contraction(nrv: Nerve) -> ContractionFamily:
     """Build the filling family by descending induction from the deepest
     intersections.  The argument handed to the filling operator is checked
     to be a relative cycle (fill raises otherwise)."""
-    if face_map is None:
-        face_map = {
-            s: face_chain(parts, s)
-            for k in range(1, nrv.max_dim + 1)
-            for s in nrv.simplices.get(k, [])
-        }
     fillings: dict[tuple[int, ...], RectChain] = {}
     for k in range(nrv.max_dim, 0, -1):
         for s in nrv.simplices.get(k, []):
-            z = face_map[s]
+            z = nrv.faces[s]
             for t in nrv.extensions(s):
                 z = z + fillings[t]
             fillings[s] = fill(z)
@@ -527,14 +503,16 @@ def skeleton_volume(part: Part, k: int, relative: bool = True) -> Fraction:
                     continue
                 found.append(x)
         pieces = union_normalize(found)
-    return union_volume(pieces)
+    # exact without a second union: at k = 1 the pieces are the cells of a
+    # canonical chain, disjoint within a plane, and distinct planes meet in
+    # measure zero; deeper levels come out of union_normalize already
+    return sum((b.volume() for b in pieces), ZERO)
 
 
 def assemble_and_audit(
     parts: list[Part],
     nrv: Nerve,
     family: ContractionFamily,
-    face_map: dict[tuple[int, ...], RectChain],
     n: int,
     m: int,
     check_skeleton: bool = True,
@@ -555,18 +533,17 @@ def assemble_and_audit(
     eq2_ok = True
     for k in range(0, nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
-            c = parts[s[0]].chain() if k == 0 else face_map[s]
             rhs = RectChain.zero(d, d - k - 1, MOD2)
             for t in nrv.extensions(s):
-                rhs = rhs + face_map[t]
-            if boundary(c, relative=True) != modulo_boundary(rhs):
+                rhs = rhs + nrv.faces[t]
+            if boundary(nrv.faces[s], relative=True) != modulo_boundary(rhs):
                 eq2_ok = False
                 fail(f"boundary decomposition fails at simplex {s}")
 
     # contraction relation
     eq3_ok = True
     for s, f_chain in family.fillings.items():
-        rhs = face_map[s]
+        rhs = nrv.faces[s]
         for t in nrv.extensions(s):
             rhs = rhs + family.fillings[t]
         if boundary(f_chain, relative=True) != modulo_boundary(rhs):
@@ -576,7 +553,7 @@ def assemble_and_audit(
     # per-part cycles
     X_chains = []
     for p in parts:
-        x = p.chain()
+        x = nrv.faces[(p.id,)]
         for t in nrv.extensions((p.id,)):
             x = x + family.fillings[t]
         X_chains.append(x)
@@ -683,17 +660,11 @@ def certify_coloring(
     parts = mono_parts(partition, g)
     m = g.num_colors - 1
     nrv = nerve(parts, max_multiplicity=max(m + 1, 1))
-    face_map = {
-        s: face_chain(parts, s)
-        for k in range(1, nrv.max_dim + 1)
-        for s in nrv.simplices.get(k, [])
-    }
-    family = contraction(parts, nrv, face_map)
+    family = contraction(nrv)
     return assemble_and_audit(
         parts,
         nrv,
         family,
-        face_map,
         n=g.n,
         m=m,
         check_skeleton=check_skeleton,

@@ -116,17 +116,6 @@ def anneal(cfg: SearchConfig) -> tuple[GridColoring, list[int]]:
     return best, trace
 
 
-def coloring_from_index(d: int, n: int, num_colors: int, index: int) -> GridColoring:
-    """The index-th coloring in lexicographic cell order (cell 0 is the
-    most significant digit), used for chunked exhaustive scans."""
-    total = n**d
-    digits = [0] * total
-    for pos in range(total - 1, -1, -1):
-        digits[pos] = index % num_colors
-        index //= num_colors
-    return GridColoring(d, n, num_colors, tuple(digits))
-
-
 def exhaustive_min(
     d: int, n: int, num_colors: int, budget: int | None = None
 ) -> tuple[int, GridColoring]:
@@ -153,26 +142,3 @@ def exhaustive_min(
             best_val = val
             best_witness = g
     return best_val, best_witness
-
-
-def exhaustive_min_range(
-    d: int, n: int, num_colors: int, start: int, stop: int
-) -> tuple[int, int]:
-    """Scan colorings with indices in [start, stop) (cell-0-fixed indexing:
-    index enumerates the cells after the first).  Returns (value, index of
-    the first witness); used to split exhaustive work across workers."""
-    best_val = n**d + 1
-    best_idx = -1
-    rest_len = n**d - 1
-    for i in range(start, stop):
-        idx = i
-        digits = [0] * rest_len
-        for pos in range(rest_len - 1, -1, -1):
-            digits[pos] = idx % num_colors
-            idx //= num_colors
-        g = GridColoring(d, n, num_colors, (0, *digits))
-        val = components(g).max_size
-        if val < best_val:
-            best_val = val
-            best_idx = i
-    return best_val, best_idx

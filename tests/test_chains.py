@@ -1,5 +1,6 @@
 """Exact chain algebra: boundary, volume, sections, cones, filling."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,6 +17,9 @@ from cubecolor.chains import (
     FillError,
     RectChain,
     SectionError,
+    _canonical_terms,
+    _merge_atoms,
+    _reduce_coef,
     boundary,
     cell,
     cone_project,
@@ -28,6 +32,7 @@ from cubecolor.chains import (
     random_relative_cycle,
     section_and_split,
     sweep_slabs,
+    union_normalize,
     union_volume,
     volume,
     volume_split,
@@ -144,6 +149,122 @@ def test_canonicalization_idempotent(seed):
     again = RectChain.make(c.d, c.k, c.ring, list(c.terms.items()))
     assert again.terms == c.terms  # already-canonical input is a fixed point
     assert volume(again) == volume(c)
+
+
+def old_canonical_terms(ring, raw):
+    """The canonicalization as it was before the plane splitter was shared
+    with union_normalize: the oracle for the shared routine."""
+    groups = {}
+    for c, coef in raw:
+        coef = _reduce_coef(coef, ring)
+        if coef == 0:
+            continue
+        groups.setdefault(c.plane_key(), []).append((c, coef))
+    out = {}
+    for key, members in groups.items():
+        free = [a for a, v in enumerate(key) if v is None]
+        if not free:
+            total = _reduce_coef(sum(coef for _, coef in members), ring)
+            if total:
+                out[members[0][0]] = total
+            continue
+        cuts = {a: sorted({p for c, _ in members for p in c.extents[a]}) for a in free}
+        atoms = {}
+        for c, coef in members:
+            per_axis = []
+            for a in free:
+                lo, hi = c.extents[a]
+                pts = [p for p in cuts[a] if lo <= p <= hi]
+                per_axis.append(list(zip(pts, pts[1:])))
+            for combo in itertools.product(*per_axis):
+                atoms[combo] = atoms.get(combo, 0) + coef
+        atoms = {
+            ext: cf
+            for ext, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items())
+            if cf
+        }
+        for ext, coef in _merge_atoms(atoms, len(free)).items():
+            full = list(key)
+            for pos, a in enumerate(free):
+                full[a] = ext[pos]
+            out[BoxCell(full)] = coef
+    return out
+
+
+def old_union_normalize(boxes):
+    """union_normalize as it was before it shared the plane splitter."""
+    out = []
+    groups = {}
+    for b in boxes:
+        groups.setdefault(b.plane_key(), []).append(b)
+    for key, members in groups.items():
+        free = [a for a, v in enumerate(key) if v is None]
+        if not free:
+            out.append(members[0])
+            continue
+        cuts = {a: sorted({p for b in members for p in b.extents[a]}) for a in free}
+        atoms = set()
+        for b in members:
+            per_axis = []
+            for a in free:
+                lo, hi = b.extents[a]
+                pts = [p for p in cuts[a] if lo <= p <= hi]
+                per_axis.append(list(zip(pts, pts[1:])))
+            atoms.update(itertools.product(*per_axis))
+        for ext in _merge_atoms({combo: 1 for combo in atoms}, len(free)):
+            full = list(key)
+            for pos, a in enumerate(free):
+                full[a] = ext[pos]
+            out.append(BoxCell(full))
+    return out
+
+
+# corners with denominators up to 4; fixed coordinates come from a small
+# set so that many boxes share a plane and overlap, abut or coincide
+_CORNERS = sorted({F(i, q) for q in (1, 2, 3, 4) for i in range(q + 1)})
+_FIXED = [F(0), F(1, 2), F(1)]
+
+
+@st.composite
+def same_dim_family(draw):
+    """(d, k, boxes): boxes of one dimension k in [0,1]^d, duplicates
+    included, k = 0 (points only) included."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    planes = list(itertools.combinations(range(d), k))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        free = draw(st.sampled_from(planes))
+        ext = []
+        for a in range(d):
+            if a in free:
+                lo, hi = draw(st.lists(st.sampled_from(_CORNERS), min_size=2,
+                                       max_size=2, unique=True).map(sorted))
+                ext.append((lo, hi))
+            else:
+                ext.append(draw(st.sampled_from(_FIXED)))
+        boxes.append(BoxCell(ext))
+    boxes += draw(st.lists(st.sampled_from(boxes), max_size=3))  # duplicates
+    return d, k, boxes
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER])
+@given(family=same_dim_family(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_canonical_terms_matches_old_splitter(ring, family, data):
+    _, _, boxes = family
+    coefs = data.draw(st.lists(st.integers(-3, 3), min_size=len(boxes), max_size=len(boxes)))
+    raw = list(zip(boxes, coefs))
+    assert _canonical_terms(ring, raw) == old_canonical_terms(ring, raw)
+
+
+@given(family=same_dim_family())
+@settings(max_examples=150, deadline=None)
+def test_union_normalize_matches_old_splitter(family):
+    _, _, boxes = family
+    new = union_normalize(boxes)
+    assert len(new) == len(set(new))
+    assert set(new) == set(old_union_normalize(boxes))
 
 
 def test_mod2_overlap_cancels():
@@ -346,6 +467,13 @@ def test_random_cycle_is_cycle_and_deterministic():
 def test_random_cycle_boundary_in_cube_boundary(seed):
     z = random_relative_cycle(seed, 3, 2, size=2)
     assert is_relative_cycle(z)
+
+
+@pytest.mark.parametrize("d,k,size", [(2, 1, 0), (2, 1, -1), (2, -1, 2), (2, 2, 2)])
+def test_random_cycle_rejects_bad_shape(d, k, size):
+    # size 0 used to re-seed itself forever (no boxes never make a cycle)
+    with pytest.raises(ChainError):
+        random_relative_cycle(0, d, k, size=size)
 
 
 def test_random_cycles_are_diverse():

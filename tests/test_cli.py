@@ -155,6 +155,16 @@ def test_certify_custom_delta(tmp_path, capsys):
     assert json.loads(out)["identities"]["eq2"]
 
 
+@pytest.mark.parametrize("delta", ["1/0", "abc"])
+def test_certify_bad_delta_exit_2(tmp_path, capsys, delta):
+    # 1/0 used to escape as a ZeroDivisionError with exit code 1
+    path = write_coloring(tmp_path, "h.txt", "2 2 2\n0 1 0 1\n")
+    code, out, err = run(capsys, "certify", path, "--delta", delta)
+    assert code == 2
+    assert out == ""
+    assert f"certify: bad --delta {delta!r}" in err
+
+
 # -------------------------------------------------------------- fill-test
 
 
@@ -173,6 +183,18 @@ def test_fill_test_vacuous(capsys):
 def test_fill_test_bad_dims(capsys):
     code, _, err = run(capsys, "fill-test", "--d", "2", "--k", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--size", "0"], ["--size", "-1"], ["--k", "-1", "--d", "2"], ["--d", "5", "--k", "1"]],
+)
+def test_fill_test_rejects_bad_shape(capsys, flags):
+    # --size 0 used to recurse until RecursionError; --k -1 used to "pass"
+    code, out, err = run(capsys, "fill-test", "--count", "2", *flags)
+    assert code == 2
+    assert out == ""
+    assert "fill-test: need 0 <= k < d <= 4 and size >= 1" in err
 
 
 def test_fill_test_workers_merge_deterministically(capsys):

@@ -1,6 +1,7 @@
 """Shifted partitions, parts, nerve, intersection chains, contraction,
 and the end-to-end audit."""
 
+import dataclasses
 from fractions import Fraction as F
 from itertools import product
 
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubecolor.bounds import g_constant
-from cubecolor.chains import MOD2, BoxCell, RectChain, boundary, cell, modulo_boundary
+from cubecolor.chains import (
+    MOD2,
+    BoxCell,
+    RectChain,
+    boundary,
+    cell,
+    modulo_boundary,
+    union_volume,
+)
 from cubecolor.gridcolor import parse_coloring
 from cubecolor.nervecontract import (
     IdentityError,
@@ -23,7 +32,6 @@ from cubecolor.nervecontract import (
     build_shifted_partition,
     certify_coloring,
     contraction,
-    face_chain,
     mono_parts,
     nerve,
     skeleton_volume,
@@ -226,11 +234,55 @@ def test_nerve_multiplicity_violation_reported():
 # ---------------------------------------------------------- face chains
 
 
+def oracle_face_chain(parts, simplex):
+    """The per-simplex intersection chain as it was computed before the
+    nerve pass built it: intersect the parts' boxes again from scratch."""
+    s = tuple(sorted(simplex))
+    d = parts[0].boxes[0].d
+    target = d - (len(s) - 1)
+    if target < 0:
+        return RectChain.zero(d, 0, MOD2)
+    regions = list(parts[s[0]].boxes)
+    for pid in s[1:]:
+        nxt = []
+        seen = set()
+        for r in regions:
+            for b in parts[pid].boxes:
+                x = r.intersect(b)
+                if x is not None and x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        regions = nxt
+    kept = [b for b in regions if b.k == target]
+    if not kept:
+        return RectChain.zero(d, target, MOD2)
+    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept])
+    assert chain.volume() == union_volume(kept)
+    return chain
+
+
+@pytest.mark.parametrize(
+    "d,n,colors",
+    [(2, n, c) for n in (3, 4, 5) for c in (2, 3)] + [(3, 3, c) for c in (2, 3, 4)],
+)
+def test_nerve_faces_match_per_simplex_oracle(d, n, colors):
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    for seed in range(2):
+        parts = mono_parts(p, random_coloring(d, n, colors, seed))
+        nrv = nerve(parts)
+        simplices = [s for ss in nrv.simplices.values() for s in ss]
+        assert set(nrv.faces) == set(simplices)
+        for s in simplices:
+            want = oracle_face_chain(parts, s)
+            got = nrv.faces[s]
+            assert (got.d, got.k) == (want.d, want.k), s
+            assert list(got.terms.items()) == list(want.terms.items()), s
+
+
 def test_face_chain_vertex_is_part_chain():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
-    c = face_chain(parts, (0,))
-    assert c == parts[0].chain()
+    assert nerve(parts).faces[(0,)] == parts[0].chain()
 
 
 def test_face_chain_wall_area():
@@ -239,7 +291,7 @@ def test_face_chain_wall_area():
     # the lower-right one
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
-    c = face_chain(parts, (0, 1))
+    c = nerve(parts).faces[(0, 1)]
     assert c.k == 1
     assert c.volume() == F(1, 2) + F(1, 2) + F(1, 80)
 
@@ -248,18 +300,28 @@ def test_face_chain_off_nerve_is_zero():
     p = build_shifted_partition(2, 2, F(1, 16))
     g = parse_coloring("2 2 2\n0 1 1 0")
     parts = mono_parts(p, g)  # parts 0 and 2 are the separated diagonal
-    assert face_chain(parts, (0, 2)).is_zero()
+    nrv = nerve(parts)
+    assert (0, 2) not in nrv
+    assert (0, 2) not in nrv.faces
+    assert oracle_face_chain(parts, (0, 2)).is_zero()
 
 
-def eq2_residual(parts, nrv, simplex):
-    lhs = (
-        boundary(parts[simplex[0]].chain(), relative=True)
-        if len(simplex) == 1
-        else boundary(face_chain(parts, simplex), relative=True)
+def test_face_overlap_is_an_identity_error():
+    # part 1's boxes overlap, so its two wall pieces against part 0 overlap
+    # on {1/2} x [1/4, 1/2]; mod-2 addition would erase that stretch
+    a = Part(0, 0, (0,), (cell((0, "1/2"), (0, 1)),), F(1, 2))
+    b = Part(
+        1, 1, (1, 2), (cell(("1/2", 1), (0, "1/2")), cell(("1/2", 1), ("1/4", 1))), F(5, 8)
     )
-    rhs = RectChain.zero(parts[0].boxes[0].d, lhs.k, MOD2)
+    with pytest.raises(IdentityError, match=r"\(0, 1\)"):
+        nerve([a, b])
+
+
+def eq2_residual(nrv, simplex):
+    lhs = boundary(nrv.faces[simplex], relative=True)
+    rhs = RectChain.zero(lhs.d, lhs.k, MOD2)
     for t in nrv.extensions(simplex):
-        rhs = rhs + face_chain(parts, t)
+        rhs = rhs + nrv.faces[t]
     return lhs - modulo_boundary(rhs)
 
 
@@ -270,7 +332,7 @@ def test_boundary_decomposition_d2_n3(seed):
     nrv = nerve(parts)
     for k in range(nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
-            assert eq2_residual(parts, nrv, s).is_zero(), s
+            assert eq2_residual(nrv, s).is_zero(), s
 
 
 def test_boundary_decomposition_three_colors():
@@ -281,7 +343,7 @@ def test_boundary_decomposition_three_colors():
     nrv = nerve(parts)
     for k in range(nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
-            assert eq2_residual(parts, nrv, s).is_zero(), s
+            assert eq2_residual(nrv, s).is_zero(), s
 
 
 # ---------------------------------------------------------- contraction
@@ -290,7 +352,7 @@ def test_boundary_decomposition_three_colors():
 def test_contraction_empty_when_no_edges():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 1\n0 0 0 0"))
-    fam = contraction(parts, nerve(parts))
+    fam = contraction(nerve(parts))
     assert fam.fillings == {}
 
 
@@ -298,11 +360,11 @@ def test_contraction_half_half():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
     nrv = nerve(parts)
-    fam = contraction(parts, nrv)
+    fam = contraction(nrv)
     f = fam.get((0, 1))
     # filling the interface recovers the right-hand region exactly
     assert f == parts[1].chain()
-    residual = boundary(f, relative=True) - modulo_boundary(face_chain(parts, (0, 1)))
+    residual = boundary(f, relative=True) - modulo_boundary(nrv.faces[(0, 1)])
     assert residual.is_zero()
 
 
@@ -311,14 +373,9 @@ def test_contraction_relation_random(seed):
     p = build_shifted_partition(2, 4, F(1, 64))
     parts = mono_parts(p, random_coloring(2, 4, 2, seed))
     nrv = nerve(parts)
-    face_map = {
-        s: face_chain(parts, s)
-        for k in range(1, nrv.max_dim + 1)
-        for s in nrv.simplices.get(k, [])
-    }
-    fam = contraction(parts, nrv, face_map)
+    fam = contraction(nrv)
     for s, f in fam.fillings.items():
-        rhs = face_map[s]
+        rhs = nrv.faces[s]
         for t in nrv.extensions(s):
             rhs = rhs + fam.fillings[t]
         assert boundary(f, relative=True) == modulo_boundary(rhs)
@@ -372,11 +429,12 @@ def test_audit_flags_engineered_failure():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
     nrv = nerve(parts)
-    fam = contraction(parts, nrv, {(0, 1): face_chain(parts, (0, 1))})
-    bogus = {(0, 1): RectChain.from_cells(2, [cell(("1/4", "1/2"), "1/4")])}
+    fam = contraction(nrv)
+    bogus = RectChain.from_cells(2, [cell(("1/4", "1/2"), "1/4")])
+    bad = dataclasses.replace(nrv, faces={**nrv.faces, (0, 1): bogus})
     with pytest.raises(IdentityError):
-        assemble_and_audit(parts, nrv, fam, bogus, n=2, m=1, strict=True)
-    rep = assemble_and_audit(parts, nrv, fam, bogus, n=2, m=1, strict=False)
+        assemble_and_audit(parts, bad, fam, n=2, m=1, strict=True)
+    rep = assemble_and_audit(parts, bad, fam, n=2, m=1, strict=False)
     assert not rep.ok
     assert not rep.eq2_ok
 
@@ -389,12 +447,7 @@ def test_every_X_is_zero_or_the_cube():
     g = random_coloring(2, 4, 2, 3)
     parts = mono_parts(p, g)
     nrv = nerve(parts)
-    face_map = {
-        s: face_chain(parts, s)
-        for k in range(1, nrv.max_dim + 1)
-        for s in nrv.simplices.get(k, [])
-    }
-    fam = contraction(parts, nrv, face_map)
+    fam = contraction(nrv)
     cube = fundamental_chain(2)
     for pt in parts:
         x = pt.chain()

@@ -7,9 +7,7 @@ from cubecolor.search import (
     BudgetError,
     SearchConfig,
     anneal,
-    coloring_from_index,
     exhaustive_min,
-    exhaustive_min_range,
     random_coloring,
     stripe_construction,
 )
@@ -132,16 +130,3 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("CUBECOLOR_MAX_COLORINGS", "100000")
     assert exhaustive_min(2, 2, 2)[0] == 2
 
-
-def test_chunked_scan_agrees():
-    total = 2 ** (2 * 2 - 1)
-    v1, i1 = exhaustive_min_range(2, 2, 2, 0, total // 2)
-    v2, i2 = exhaustive_min_range(2, 2, 2, total // 2, total)
-    assert min(v1, v2) == exhaustive_min(2, 2, 2)[0]
-
-
-def test_coloring_from_index_lexicographic():
-    g0 = coloring_from_index(1, 2, 2, 0)
-    g3 = coloring_from_index(1, 2, 2, 3)
-    assert g0.cells == (0, 0)
-    assert g3.cells == (1, 1)
