@@ -89,6 +89,14 @@ class BoxCell:
             ext.append((lo, hi))
         object.__setattr__(self, "extents", tuple(ext))
 
+    @classmethod
+    def _from_valid(cls, extents: tuple) -> "BoxCell":
+        """A cell from (lo, hi) Fraction pairs already known to satisfy
+        0 <= lo <= hi <= 1, such as pieces cut from existing cells."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "extents", extents)
+        return c
+
     def __setattr__(self, name, value):
         raise AttributeError("BoxCell is immutable")
 
@@ -140,7 +148,7 @@ class BoxCell:
             if lo > hi:
                 return None
             ext.append((lo, hi))
-        return BoxCell(ext)
+        return BoxCell._from_valid(tuple(ext))
 
     def touches(self, other: "BoxCell") -> bool:
         return all(
@@ -175,36 +183,40 @@ def _reduce_coef(coef: int, ring: str) -> int:
 def _split_planes(raw: Iterable[tuple[BoxCell, int]]):
     """Group cells by affine plane and cut each group on its breakpoints.
 
-    Yields (plane key, free axes, atoms) per plane.  Inside a plane every
-    cell is split along the union of the group's breakpoints on each free
-    axis; atoms maps each elementary box (one (lo, hi) pair per free axis)
-    to the summed coefficient of the cells covering it.  A plane with no
-    free axis (a point) has the single atom ().
+    Yields (plane key, free axes, cuts, atoms) per plane.  cuts[pos] is the
+    sorted list of the group's breakpoints on the free axis free[pos].
+    Inside a plane every cell is split along those breakpoints; atoms maps
+    each elementary box to the summed coefficient of the cells covering
+    it.  An atom holds one (i, i + 1) pair of indices into cuts[pos] per
+    free axis: ranks are monotone in the coordinates, so atoms sort and
+    merge exactly as the Fraction boxes they stand for, and hash as ints.
+    A plane with no free axis (a point) has the single atom ().
     """
     groups: dict[tuple, list[tuple[BoxCell, int]]] = {}
     for c, coef in raw:
         groups.setdefault(c.plane_key(), []).append((c, coef))
     for key, members in groups.items():
         free = [a for a, v in enumerate(key) if v is None]
-        cuts = {a: sorted({p for c, _ in members for p in c.extents[a]}) for a in free}
+        cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free]
+        ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
         atoms: dict[tuple, int] = {}
         for c, coef in members:
             per_axis = []
-            for a in free:
+            for a, rank in zip(free, ranks):
                 lo, hi = c.extents[a]
-                pts = [p for p in cuts[a] if lo <= p <= hi]
-                per_axis.append(list(zip(pts, pts[1:])))
+                per_axis.append([(i, i + 1) for i in range(rank[lo], rank[hi])])
             for combo in itertools.product(*per_axis):
                 atoms[combo] = atoms.get(combo, 0) + coef
-        yield key, free, atoms
+        yield key, free, cuts, atoms
 
 
-def _rebuild(key: tuple, free: list[int], ext: tuple) -> BoxCell:
-    """The cell on the plane `key` with the given extents on its free axes."""
-    full = list(key)
-    for pos, a in enumerate(free):
-        full[a] = ext[pos]
-    return BoxCell(full)
+def _rebuild(key: tuple, free: list[int], cuts: list[list[Fraction]], ext: tuple) -> BoxCell:
+    """The cell on the plane `key` whose extent on free[pos] runs between
+    the breakpoints cuts[pos][i] and cuts[pos][j], for ext[pos] = (i, j)."""
+    full = [(v, v) for v in key]
+    for a, pts, (i, j) in zip(free, cuts, ext):
+        full[a] = (pts[i], pts[j])
+    return BoxCell._from_valid(tuple(full))
 
 
 def _canonical_terms(ring: str, raw: Iterable[tuple[BoxCell, int]]) -> dict[BoxCell, int]:
@@ -213,14 +225,14 @@ def _canonical_terms(ring: str, raw: Iterable[tuple[BoxCell, int]]) -> dict[BoxC
     runs are re-merged axis by axis."""
     reduced = ((c, _reduce_coef(coef, ring)) for c, coef in raw)
     out: dict[BoxCell, int] = {}
-    for key, free, atoms in _split_planes((c, cf) for c, cf in reduced if cf):
+    for key, free, cuts, atoms in _split_planes((c, cf) for c, cf in reduced if cf):
         atoms = {
             ext: cf
             for ext, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items())
             if cf
         }
         for ext, coef in _merge_atoms(atoms, len(free)).items():
-            out[_rebuild(key, free, ext)] = coef
+            out[_rebuild(key, free, cuts, ext)] = coef
     return out
 
 
@@ -599,9 +611,9 @@ def union_normalize(boxes: Iterable[BoxCell]) -> list[BoxCell]:
     """Rewrite a family of same-dimension boxes as non-overlapping boxes
     covering the same set (presence semantics, not mod-2 addition)."""
     out: list[BoxCell] = []
-    for key, free, atoms in _split_planes((b, 1) for b in boxes):
+    for key, free, cuts, atoms in _split_planes((b, 1) for b in boxes):
         merged = _merge_atoms(dict.fromkeys(atoms, 1), len(free))
-        out.extend(_rebuild(key, free, ext) for ext in merged)
+        out.extend(_rebuild(key, free, cuts, ext) for ext in merged)
     return out
 
 

@@ -103,9 +103,12 @@ def cmd_fill_test(args) -> int:
     if not 0 <= args.k < args.d <= 4 or args.size < 1:
         print("fill-test: need 0 <= k < d <= 4 and size >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.count < 1:
+        print(f"fill-test: need --count >= 1, got {args.count}", file=sys.stderr)
+        return EXIT_USAGE
     tasks = [(seed, args.d, args.k, args.size, args.ring) for seed in range(args.count)]
     failures = []
-    if args.workers > 1 and tasks:
+    if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_fill_one, tasks, chunksize=32))
     else:
@@ -121,12 +124,15 @@ def cmd_fill_test(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.method in ("random", "anneal") and args.restarts < 1:
+        print(f"search: need --restarts >= 1, got {args.restarts}", file=sys.stderr)
+        return EXIT_USAGE
     rows = []
     best = None  # (objective, grid)
     if args.method == "exhaustive":
         try:
             value, witness = search_mod.exhaustive_min(args.d, args.n, args.num_colors)
-        except search_mod.BudgetError as exc:
+        except ValueError as exc:  # a bad shape, or over the budget
             print(f"search: {exc}", file=sys.stderr)
             return EXIT_USAGE
         rows.append((args.d, args.n, args.num_colors, "exhaustive", value, ""))
@@ -170,7 +176,7 @@ def cmd_search(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    if args.best_out and best is not None:
+    if args.best_out:
         with open(args.best_out, "w", encoding="utf-8") as fh:
             fh.write(best[1].to_text())
     return EXIT_OK

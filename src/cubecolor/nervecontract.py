@@ -465,16 +465,16 @@ def box_face_volume(box: BoxCell, k: int) -> tuple[int, Fraction]:
     return count, total
 
 
-def skeleton_volume(part: Part, k: int, relative: bool = True) -> Fraction:
-    """Exact (d-k)-volume of the codimension-k skeleton of the part's
-    region.
+def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
+    """Exact volumes of every codimension-k skeleton of the region carried
+    by a d-chain, indexed by k = 0..d.
 
     The skeleton is geometric: codimension 1 is the topological boundary
-    of the union of the part's boxes (internal walls between boxes of the
-    same part are not faces of the region), and each deeper level is the
-    singular set of the previous one — the union of pairwise intersections
-    of its non-coflat pieces.  At k = d the result counts the corner
-    points, each once.
+    of the region (internal walls between its boxes are not faces of the
+    region), and each deeper level is the singular set of the previous
+    one — the union of pairwise intersections of its non-coflat pieces.
+    At k = d the result counts the corner points, each once.  k = 0 is
+    the volume of the chain itself.
 
     By default the skeleton is taken relative to the cube boundary, like
     every other object in this pipeline: faces supported inside a facet
@@ -484,29 +484,51 @@ def skeleton_volume(part: Part, k: int, relative: bool = True) -> Fraction:
     skeleton of a cell clipped by the cube boundary (losing width but
     keeping its full-length faces) exceeds the bound by an O(delta) term.
     Pass relative=False for the absolute skeleton.
+
+    One boundary is taken and every level is built once from the one
+    above it.  Within a level only pieces whose sets of fixed axes differ
+    are intersected: two pieces fixed on the same axes either share their
+    plane (coflat, no bend between them) or differ in a fixed coordinate
+    and are disjoint.  The pairs are found by a sweep over the pieces'
+    lower endpoints on the first axis, so pieces that do not overlap there
+    are never compared.
     """
+    # exact without a union: at k = 1 the pieces are the cells of a
+    # canonical chain, disjoint within a plane, and distinct planes meet in
+    # measure zero; deeper levels come out of union_normalize already.
+    # Relative needs no check below k = 1: a fixed coordinate of a deeper
+    # piece is either one of a k = 1 piece, or a point where one interval
+    # ends and another starts, which lies strictly inside (0, 1).
+    pieces = list(boundary(chain, relative=relative).terms)
+    volumes = [chain.volume(), sum((b.volume() for b in pieces), ZERO)]
+    for target in range(chain.d - 2, -1, -1):
+        found = []
+        active: list[tuple] = []  # (hi on axis 0, fixed-axis pattern, piece)
+        for b in sorted(pieces, key=lambda b: b.extents[0][0]):
+            lo, hi = b.extents[0]
+            pattern = tuple(l == h for l, h in b.extents)
+            active = [e for e in active if e[0] >= lo]
+            for _, other, a in active:
+                if other == pattern:
+                    continue
+                x = a.intersect(b)
+                if x is not None and x.k == target:
+                    found.append(x)
+            active.append((hi, pattern, b))
+        pieces = union_normalize(found)
+        volumes.append(sum((b.volume() for b in pieces), ZERO))
+    return volumes
+
+
+def skeleton_volume(part: Part, k: int, relative: bool = True) -> Fraction:
+    """Exact (d-k)-volume of the codimension-k skeleton of the part's
+    region; see skeleton_volumes.  k = 0 gives the part's volume."""
     d = part.boxes[0].d
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}")
     if k == 0:
         return part.volume
-    pieces = [b for b, _ in boundary(part.chain(), relative=relative).cells()]
-    for level in range(2, k + 1):
-        target = d - level
-        found = []
-        for b1, b2 in combinations(pieces, 2):
-            if b1.plane_key() == b2.plane_key():
-                continue  # coflat: same affine plane, no bend between them
-            x = b1.intersect(b2)
-            if x is not None and x.k == target:
-                if relative and x.in_cube_boundary():
-                    continue
-                found.append(x)
-        pieces = union_normalize(found)
-    # exact without a second union: at k = 1 the pieces are the cells of a
-    # canonical chain, disjoint within a plane, and distinct planes meet in
-    # measure zero; deeper levels come out of union_normalize already
-    return sum((b.volume() for b in pieces), ZERO)
+    return skeleton_volumes(part.chain(), relative)[k]
 
 
 def assemble_and_audit(
@@ -609,8 +631,9 @@ def assemble_and_audit(
     g_ok = True
     if check_skeleton:
         for p in parts:
+            volumes = skeleton_volumes(nrv.faces[(p.id,)])
             for k in range(1, d + 1):
-                skel = skeleton_volume(p, k)
+                skel = volumes[k]
                 bnd = g_constant(d, k) * p.volume * Fraction(n) ** k
                 ok = skel <= bnd
                 g_rows.append(

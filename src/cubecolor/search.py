@@ -127,6 +127,10 @@ def exhaustive_min(
     num_colors.  The witness is still the global lexicographic minimum
     because every witness has a color-permuted copy starting with 0.
     """
+    if d < 1 or n < 1 or num_colors < 1:
+        raise ValueError(
+            f"need d, n, num_colors >= 1, got d={d}, n={n}, num_colors={num_colors}"
+        )
     total = n**d
     cap = budget if budget is not None else coloring_budget()
     if num_colors**total > cap:

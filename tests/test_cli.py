@@ -139,7 +139,7 @@ def test_certify_too_many_colors_exit_2(tmp_path, capsys, header, cells):
     assert f"at most d+1 = {d + 1} colors" in err
 
 
-@pytest.mark.parametrize("name", ["certify_d3_n4_c2", "certify_d3_n4_c3"])
+@pytest.mark.parametrize("name", ["certify_d3_n4_c2", "certify_d3_n4_c3", "certify_d3_n5_c3"])
 def test_certify_d3_matches_stored_report(capsys, name):
     # stored reports: a silent change in S_table or X_volumes fails here
     code, out, _ = run(capsys, "certify", str(DATA / f"{name}.txt"))
@@ -174,10 +174,13 @@ def test_fill_test_counts(capsys):
     assert "25/25 passed" in out
 
 
-def test_fill_test_vacuous(capsys):
-    code, out, _ = run(capsys, "fill-test", "--count", "0")
-    assert code == 0
-    assert "0/0 passed" in out
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fill_test_rejects_nonpositive_count(capsys, count):
+    # used to print "0/0 passed" with exit 0 having checked nothing
+    code, out, err = run(capsys, "fill-test", "--count", count)
+    assert code == 2
+    assert out == ""
+    assert f"fill-test: need --count >= 1, got {count}" in err
 
 
 def test_fill_test_bad_dims(capsys):
@@ -221,6 +224,31 @@ def test_search_budget_error(capsys):
     code, _, err = run(capsys, "search", "exhaustive", "--n", "6")
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "2", "--num-colors", "0"], ["--n", "0"], ["--n", "2", "--d", "0"]],
+)
+def test_search_exhaustive_rejects_bad_shape(tmp_path, capsys, flags):
+    # --num-colors 0 used to print objective 10 with no witness and exit 0
+    # (exit 1 with --best-out); --n 0 leaked an internal product() error
+    best = tmp_path / "best.txt"
+    code, out, err = run(capsys, "search", "exhaustive", *flags, "--best-out", str(best))
+    assert code == 2
+    assert out == ""
+    assert "search: need d, n, num_colors >= 1" in err
+    assert not best.exists()
+
+
+@pytest.mark.parametrize("method", ["random", "anneal"])
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_search_rejects_nonpositive_restarts(capsys, method, restarts):
+    # used to print only the CSV header with exit 0
+    code, out, err = run(capsys, "search", method, "--n", "3", "--restarts", restarts)
+    assert code == 2
+    assert out == ""
+    assert f"search: need --restarts >= 1, got {restarts}" in err
 
 
 def test_search_anneal_reproducible(tmp_path, capsys):

@@ -3,7 +3,7 @@ and the end-to-end audit."""
 
 import dataclasses
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from cubecolor.chains import (
     boundary,
     cell,
     modulo_boundary,
+    union_normalize,
     union_volume,
 )
 from cubecolor.gridcolor import parse_coloring
@@ -35,6 +36,7 @@ from cubecolor.nervecontract import (
     mono_parts,
     nerve,
     skeleton_volume,
+    skeleton_volumes,
 )
 from cubecolor.search import random_coloring
 
@@ -507,6 +509,42 @@ def test_face_volume_direct_count_oracle():
 
         assert count == comb(3, k) * 2**k
         assert total == comb(3, k) * 2**k * F(1, 3) ** (3 - k)
+
+
+def oracle_skeleton_volume(part, k, relative=True):
+    """skeleton_volume as it was before every level came out of one pass:
+    a fresh boundary per k, and all pairs of pieces at every level."""
+    d = part.boxes[0].d
+    if k == 0:
+        return part.volume
+    pieces = [b for b, _ in boundary(part.chain(), relative=relative).cells()]
+    for level in range(2, k + 1):
+        target = d - level
+        found = []
+        for b1, b2 in combinations(pieces, 2):
+            if b1.plane_key() == b2.plane_key():
+                continue
+            x = b1.intersect(b2)
+            if x is not None and x.k == target:
+                if relative and x.in_cube_boundary():
+                    continue
+                found.append(x)
+        pieces = union_normalize(found)
+    return sum((b.volume() for b in pieces), F(0))
+
+
+@pytest.mark.parametrize(
+    "d,n,colors",
+    [(2, n, c) for n in (3, 4, 5) for c in (2, 3)] + [(3, 3, c) for c in (2, 3, 4)],
+)
+def test_skeleton_volumes_match_per_level_oracle(d, n, colors):
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    for seed in range(2):
+        for pt in mono_parts(p, random_coloring(d, n, colors, seed)):
+            for relative in (True, False):
+                got = skeleton_volumes(pt.chain(), relative)
+                want = [oracle_skeleton_volume(pt, k, relative) for k in range(d + 1)]
+                assert got == want, (pt.id, relative)
 
 
 @pytest.mark.parametrize("d,seed", [(2, 0), (2, 1), (3, 0)])

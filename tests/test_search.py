@@ -118,6 +118,13 @@ def test_exhaustive_below_constructions():
     assert value <= components(random_coloring(2, 3, 2, 11)).max_size
 
 
+@pytest.mark.parametrize("d,n,colors", [(2, 2, 0), (2, 0, 2), (0, 2, 2), (2, -1, 2)])
+def test_exhaustive_rejects_bad_shape(d, n, colors):
+    # checked before the budget: 0 colors used to return (n^d + 1, None)
+    with pytest.raises(ValueError, match="need d, n, num_colors >= 1"):
+        exhaustive_min(d, n, colors, budget=10**9)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetError):
         exhaustive_min(2, 6, 2, budget=1000)
