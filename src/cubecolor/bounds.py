@@ -16,6 +16,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 
+def _rat(x: Fraction) -> dict:
+    """A rational as it appears in every JSON output of the package."""
+    return {"exact": f"{x.numerator}/{x.denominator}", "approx": float(x)}
+
+
 class BoundsError(ValueError):
     """Parameters outside the valid range 0 <= m < d."""
 
@@ -37,21 +42,16 @@ class BoundsTable:
     discrepancy_factor_two: bool = True  # f_remark == f_eq5 / 2 always
 
     def to_json(self) -> dict:
-        def rat(x: Fraction | None):
-            if x is None:
-                return None
-            return {"exact": f"{x.numerator}/{x.denominator}", "approx": float(x)}
-
         return {
             "d": self.d,
             "m": self.m,
             "n": self.n,
-            "f_eq5": rat(self.f_eq5),
-            "f_remark": rat(self.f_remark),
-            "h_eq4": rat(self.h_eq4),
-            "fbar_approx": rat(self.fbar_approx),
-            "g": {str(k): rat(v) for k, v in self.g.items()},
-            "prior_2color": rat(self.prior_2color),
+            "f_eq5": _rat(self.f_eq5),
+            "f_remark": _rat(self.f_remark),
+            "h_eq4": _rat(self.h_eq4),
+            "fbar_approx": _rat(self.fbar_approx),
+            "g": {str(k): _rat(v) for k, v in self.g.items()},
+            "prior_2color": None if self.prior_2color is None else _rat(self.prior_2color),
             "asymptotic": self.asymptotic,
             "discrepancy_factor_two": self.discrepancy_factor_two,
         }

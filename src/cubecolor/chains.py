@@ -36,7 +36,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MOD2 = "mod2"
 INTEGER = "int"
@@ -150,12 +150,6 @@ class BoxCell:
             ext.append((lo, hi))
         return BoxCell._from_valid(tuple(ext))
 
-    def touches(self, other: "BoxCell") -> bool:
-        return all(
-            max(alo, blo) <= min(ahi, bhi)
-            for (alo, ahi), (blo, bhi) in zip(self.extents, other.extents)
-        )
-
     def __eq__(self, other):
         return isinstance(other, BoxCell) and self.extents == other.extents
 
@@ -167,6 +161,30 @@ class BoxCell:
         for lo, hi in self.extents:
             parts.append(f"{lo}" if lo == hi else f"[{lo},{hi}]")
         return "Cell(" + " x ".join(parts) + ")"
+
+
+def contacts(boxes: Sequence[BoxCell]) -> list[tuple[int, int, BoxCell]]:
+    """Every pair i < j of closed boxes that meet, with their closed
+    intersection, as (i, j, box) sorted by (i, j).
+
+    A sort-and-sweep by lower endpoint on the first axis: each box is
+    tested only against the earlier ones whose interval there is still
+    open.  Tests compare integer ranks of the coordinates, which order as
+    the coordinates do; only boxes that meet are intersected.
+    """
+    cuts = [sorted({v for ext in col for v in ext}) for col in zip(*(b.extents for b in boxes))]
+    ranks = [{v: r for r, v in enumerate(pts)} for pts in cuts]
+    keys = [tuple((rk[lo], rk[hi]) for rk, (lo, hi) in zip(ranks, b.extents)) for b in boxes]
+    active: list[int] = []
+    out = []
+    for j in sorted(range(len(boxes)), key=lambda i: keys[i][0][0]):
+        kj = keys[j]
+        active = [i for i in active if keys[i][0][1] >= kj[0][0]]
+        for i in active:
+            if all(lo <= hj and lj <= hi for (lo, hi), (lj, hj) in zip(keys[i], kj)):
+                out.append((min(i, j), max(i, j), boxes[i].intersect(boxes[j])))
+        active.append(j)
+    return sorted(out, key=lambda t: t[:2])
 
 
 def cell(*specs) -> BoxCell:
@@ -327,13 +345,6 @@ class RectChain:
 
     def __sub__(self, other: "RectChain") -> "RectChain":
         return self + (-other)
-
-    def scale(self, factor: int) -> "RectChain":
-        if self.ring == MOD2:
-            return RectChain.zero(self.d, self.k, self.ring) if factor % 2 == 0 else self
-        return RectChain.make(
-            self.d, self.k, self.ring, [(c, cf * factor) for c, cf in self.terms.items()]
-        )
 
     def __eq__(self, other) -> bool:
         """Semantic equality: the difference cancels pointwise."""

@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
+from .bounds import _rat
 from . import chains, gridcolor, nervecontract, search as search_mod
 
 EXIT_OK = 0
@@ -23,10 +25,6 @@ EXIT_USAGE = 2
 
 CERTIFY_MAX_D = 3
 CERTIFY_MAX_N = 8
-
-
-def _rat(x: Fraction) -> dict:
-    return {"exact": f"{x.numerator}/{x.denominator}", "approx": float(x)}
 
 
 def _read_coloring(path: str) -> gridcolor.GridColoring:
@@ -85,6 +83,18 @@ def cmd_certify(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
+def _pool_map(fn, tasks: list, workers: int, chunksize: int = 1) -> list:
+    """fn over tasks, in order, on min(workers, tasks, CPUs) processes: a
+    process pool starts all its workers at once.  One runs in-process."""
+    if workers < 1:
+        raise ValueError(f"need --workers >= 1, got {workers}")
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
+
+
 def _fill_one(task) -> tuple[int, str]:
     seed, d, k, size, ring = task
     z = chains.random_relative_cycle(seed, d, k, size=size, ring=ring)
@@ -108,12 +118,7 @@ def cmd_fill_test(args) -> int:
         return EXIT_USAGE
     tasks = [(seed, args.d, args.k, args.size, args.ring) for seed in range(args.count)]
     failures = []
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_fill_one, tasks, chunksize=32))
-    else:
-        results = [_fill_one(t) for t in tasks]
-    for seed, err in sorted(results):
+    for seed, err in sorted(_pool_map(_fill_one, tasks, args.workers, chunksize=32)):
         if err:
             failures.append((seed, err))
     passed = len(tasks) - len(failures)
@@ -124,6 +129,11 @@ def cmd_fill_test(args) -> int:
 
 
 def cmd_search(args) -> int:
+    try:
+        search_mod.check_shape(args.d, args.n, args.num_colors)
+    except ValueError as exc:
+        print(f"search: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.method in ("random", "anneal") and args.restarts < 1:
         print(f"search: need --restarts >= 1, got {args.restarts}", file=sys.stderr)
         return EXIT_USAGE
@@ -132,7 +142,7 @@ def cmd_search(args) -> int:
     if args.method == "exhaustive":
         try:
             value, witness = search_mod.exhaustive_min(args.d, args.n, args.num_colors)
-        except ValueError as exc:  # a bad shape, or over the budget
+        except ValueError as exc:  # over the budget
             print(f"search: {exc}", file=sys.stderr)
             return EXIT_USAGE
         rows.append((args.d, args.n, args.num_colors, "exhaustive", value, ""))
@@ -157,11 +167,7 @@ def cmd_search(args) -> int:
             )
             for seed in seeds
         ]
-        if args.workers > 1 and len(configs) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-                outs = list(pool.map(search_mod.anneal, configs))
-        else:
-            outs = [search_mod.anneal(cfg) for cfg in configs]
+        outs = _pool_map(search_mod.anneal, configs, args.workers)
         for cfg, (g, trace) in zip(configs, outs):
             value = trace[-1]
             rows.append((args.d, args.n, args.num_colors, "anneal", value, cfg.seed))

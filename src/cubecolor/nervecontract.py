@@ -31,15 +31,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 
-from .bounds import g_constant
+from .bounds import _rat, g_constant
 from .chains import (
     MOD2,
     BoxCell,
     RectChain,
     boundary,
+    contacts,
     fill,
     fundamental_chain,
     is_relative_cycle,
@@ -99,54 +101,34 @@ class ShiftedPartition:
     level_offsets: dict[int, Fraction]  # 1-based layering axis -> per-layer shift
     cells: list[PartitionCell]
 
+    @cached_property
+    def contacts(self) -> list[tuple[int, int, BoxCell]]:
+        """The touching cell pairs with their intersections; see chains.contacts."""
+        return contacts([pc.box for pc in self.cells])
+
     def max_multiplicity(self) -> int:
-        """Largest number of closed cells sharing a point, found exactly by
-        a sort-and-sweep over the cells' lower endpoints.
+        """Largest number of closed cells sharing a point: the largest
+        clique of the contact graph, enumerated once per clique in
+        increasing index order.  Exact by Helly's theorem for boxes: closed
+        axis-parallel boxes that meet pairwise share a point."""
+        later: list[set[int]] = [set() for _ in self.cells]
+        for i, j, _ in self.contacts:
+            later[i].add(j)
 
-        Why lower endpoints suffice: let S be the cells that contain a
-        deepest point.  Closed axis-parallel boxes that meet pairwise share
-        a point (Helly's theorem for boxes: on each axis, intervals that
-        meet pairwise share a point), and the lower corner of their common
-        box -- the largest lower endpoint over S on each axis -- is such a
-        point.  So some deepest point has every coordinate equal to a lower
-        endpoint of some cell.
+        def largest(size: int, common: set[int]) -> int:
+            return max((largest(size + 1, common & later[j]) for j in common), default=size)
 
-        The sweep recurses over the axes.  On axis a it walks the distinct
-        lower endpoints v of the active cells in increasing order, keeping
-        the cells with lo <= v <= hi on that axis, and recurses on those
-        survivors; after the last axis the survivors are exactly the cells
-        that contain the chosen point.  A branch whose survivors cannot
-        beat the best count so far is skipped.
-        """
-        d = self.d
-
-        def sweep(active: list, axis: int, best: int) -> int:
-            if axis == d:
-                return max(best, len(active))
-
-            def lo(ext):
-                return ext[axis][0]
-
-            open_: list = []
-            for v, opening in groupby(sorted(active, key=lo), key=lo):
-                open_ = [ext for ext in open_ if ext[axis][1] >= v]
-                open_.extend(opening)
-                if len(open_) > best:
-                    best = sweep(open_, axis + 1, best)
-            return best
-
-        return sweep([pc.box.extents for pc in self.cells], 0, 0)
+        return largest(0, set(range(len(later))))
 
     def verify(self):
         total = sum((pc.box.volume() for pc in self.cells), ZERO)
         if total != ONE:
             raise PartitionError(f"cells tile volume {total}, expected 1")
-        for pa, pb in combinations(self.cells, 2):
-            if all(
-                max(alo, blo) < min(ahi, bhi)
-                for (alo, ahi), (blo, bhi) in zip(pa.box.extents, pb.box.extents)
-            ):
-                raise PartitionError(f"cells overlap: {pa.box} and {pb.box}")
+        for i, j, x in self.contacts:
+            if x.k == self.d:
+                raise PartitionError(
+                    f"cells overlap: {self.cells[i].box} and {self.cells[j].box}"
+                )
         cap = Fraction(1, self.n) + 2 * self.delta
         for pc in self.cells:
             for a, (lo, hi) in enumerate(pc.box.extents):
@@ -246,12 +228,11 @@ def mono_parts(p: ShiftedPartition, g: GridColoring) -> list[Part]:
             x = parent[x]
         return x
 
-    for i in range(count):
-        for j in range(i + 1, count):
-            if colors[i] == colors[j] and p.cells[i].box.touches(p.cells[j].box):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, j, _ in p.contacts:
+        if colors[i] == colors[j]:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
 
     groups: dict[int, list[int]] = {}
     for i in range(count):
@@ -319,10 +300,17 @@ def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
 
     The intersection of a simplex's parts is built by extending the
     region of its prefix with the boxes of the last part, so every
-    intersection is computed once.  When `max_multiplicity` is given, a
-    simplex on more parts than that is reported as a hard
-    MultiplicityError rather than silently accepted.
+    intersection is computed once.  A simplex is extended only by later
+    parts that touch all its members: any other part gives no pieces.
+    When `max_multiplicity` is given, a simplex on more parts than that is
+    reported as a hard MultiplicityError rather than silently accepted.
     """
+    # common[s]: the later parts that touch every member of s
+    common: dict[tuple[int, ...], set[int]] = {(p.id,): set() for p in parts}
+    owner = [p.id for p in parts for _ in p.boxes]  # non-decreasing
+    for a, b, _ in contacts([box for p in parts for box in p.boxes]):
+        if owner[a] != owner[b]:
+            common[(owner[a],)].add(owner[b])
     levels: dict[int, list[tuple[int, ...]]] = {0: [(p.id,) for p in parts]}
     regions: dict[tuple[int, ...], list[BoxCell]] = {
         (p.id,): list(p.boxes) for p in parts
@@ -332,7 +320,7 @@ def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
     while levels.get(k):
         nxt: list[tuple[int, ...]] = []
         for s in levels[k]:
-            for j in range(s[-1] + 1, len(parts)):
+            for j in sorted(common[s]):
                 pieces = []
                 seen = set()
                 for r in regions[s]:
@@ -347,6 +335,7 @@ def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
                         raise MultiplicityError(t)
                     nxt.append(t)
                     regions[t] = pieces
+                    common[t] = common[s] & common[(j,)]
                     faces[t] = _face(t, pieces)
         k += 1
         if nxt:
@@ -408,25 +397,22 @@ class AuditReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        def rat(x: Fraction):
-            return {"exact": f"{x.numerator}/{x.denominator}", "approx": float(x)}
-
         return {
             "d": self.d,
             "n": self.n,
             "m": self.m,
-            "alpha": rat(self.alpha),
-            "part_volumes": [rat(v) for v in self.part_volumes],
+            "alpha": _rat(self.alpha),
+            "part_volumes": [_rat(v) for v in self.part_volumes],
             "S_table": [
-                {"part": i0, "k": k, "value": rat(v)}
+                {"part": i0, "k": k, "value": _rat(v)}
                 for (i0, k), v in sorted(self.S_table.items())
             ],
             "s_bound_rows": [
-                {**row, "value": rat(row["value"]), "bound": rat(row["bound"])}
+                {**row, "value": _rat(row["value"]), "bound": _rat(row["bound"])}
                 for row in self.s_bound_rows
             ],
-            "max_X_volume": rat(self.max_X_volume),
-            "X_volumes": [rat(v) for v in self.X_volumes],
+            "max_X_volume": _rat(self.max_X_volume),
+            "X_volumes": [_rat(v) for v in self.X_volumes],
             "all_X_below_one": self.all_X_below_one,
             "identities": {
                 "eq2": self.eq2_ok,
@@ -436,7 +422,7 @@ class AuditReport:
                 "s_recursion": self.s_bound_ok,
             },
             "g_checks": [
-                {**row, "skeleton": rat(row["skeleton"]), "bound": rat(row["bound"])}
+                {**row, "skeleton": _rat(row["skeleton"]), "bound": _rat(row["bound"])}
                 for row in self.g_checks
             ],
             "g_ok": self.g_ok,
@@ -486,12 +472,10 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
     Pass relative=False for the absolute skeleton.
 
     One boundary is taken and every level is built once from the one
-    above it.  Within a level only pieces whose sets of fixed axes differ
-    are intersected: two pieces fixed on the same axes either share their
-    plane (coflat, no bend between them) or differ in a fixed coordinate
-    and are disjoint.  The pairs are found by a sweep over the pieces'
-    lower endpoints on the first axis, so pieces that do not overlap there
-    are never compared.
+    above it.  The pairs of a level come from chains.contacts over its
+    pieces, and only pieces whose sets of fixed axes differ count: two
+    pieces fixed on the same axes either share their plane (coflat, no
+    bend between them) or differ in a fixed coordinate and are disjoint.
     """
     # exact without a union: at k = 1 the pieces are the cells of a
     # canonical chain, disjoint within a plane, and distinct planes meet in
@@ -502,20 +486,12 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
     pieces = list(boundary(chain, relative=relative).terms)
     volumes = [chain.volume(), sum((b.volume() for b in pieces), ZERO)]
     for target in range(chain.d - 2, -1, -1):
-        found = []
-        active: list[tuple] = []  # (hi on axis 0, fixed-axis pattern, piece)
-        for b in sorted(pieces, key=lambda b: b.extents[0][0]):
-            lo, hi = b.extents[0]
-            pattern = tuple(l == h for l, h in b.extents)
-            active = [e for e in active if e[0] >= lo]
-            for _, other, a in active:
-                if other == pattern:
-                    continue
-                x = a.intersect(b)
-                if x is not None and x.k == target:
-                    found.append(x)
-            active.append((hi, pattern, b))
-        pieces = union_normalize(found)
+        patterns = [tuple(lo == hi for lo, hi in b.extents) for b in pieces]
+        pieces = union_normalize(
+            x
+            for i, j, x in contacts(pieces)
+            if patterns[i] != patterns[j] and x.k == target
+        )
         volumes.append(sum((b.volume() for b in pieces), ZERO))
     return volumes
 

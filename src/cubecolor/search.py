@@ -50,9 +50,18 @@ class SearchConfig:
             raise ValueError("decay must lie in (0,1)")
 
 
+def check_shape(d: int, n: int, num_colors: int) -> None:
+    """Raise ValueError unless d, n and num_colors are all at least 1."""
+    if d < 1 or n < 1 or num_colors < 1:
+        raise ValueError(
+            f"need d, n, num_colors >= 1, got d={d}, n={n}, num_colors={num_colors}"
+        )
+
+
 def stripe_construction(d: int, n: int, num_colors: int, w: int) -> GridColoring:
     """Diagonal stripes of width w: color = floor(sum of the first
     min(num_colors, d) coordinates / w) mod num_colors."""
+    check_shape(d, n, num_colors)
     if w < 1:
         raise ValueError("stripe width must be >= 1")
     use = min(num_colors, d)
@@ -127,10 +136,7 @@ def exhaustive_min(
     num_colors.  The witness is still the global lexicographic minimum
     because every witness has a color-permuted copy starting with 0.
     """
-    if d < 1 or n < 1 or num_colors < 1:
-        raise ValueError(
-            f"need d, n, num_colors >= 1, got d={d}, n={n}, num_colors={num_colors}"
-        )
+    check_shape(d, n, num_colors)
     total = n**d
     cap = budget if budget is not None else coloring_budget()
     if num_colors**total > cap:

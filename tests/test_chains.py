@@ -23,6 +23,7 @@ from cubecolor.chains import (
     boundary,
     cell,
     cone_project,
+    contacts,
     dumps_chain,
     fill,
     fundamental_chain,
@@ -267,6 +268,43 @@ def test_union_normalize_matches_old_splitter(family):
     new = union_normalize(boxes)
     assert len(new) == len(set(new))
     assert set(new) == set(old_union_normalize(boxes))
+
+
+@st.composite
+def closed_box_families(draw):
+    """Closed boxes in [0,1]^d, d = 1..3, with corners of denominator <= 4,
+    so zero-width extents, face and corner contacts, overlaps and (with
+    the appended copies) duplicates are all common."""
+    d = draw(st.integers(1, 3))
+    extent = st.lists(st.sampled_from(_CORNERS), min_size=2, max_size=2).map(
+        lambda e: tuple(sorted(e))
+    )
+    box = st.lists(extent, min_size=d, max_size=d).map(BoxCell)
+    boxes = draw(st.lists(box, min_size=1, max_size=10))
+    return boxes + draw(st.lists(st.sampled_from(boxes), max_size=3))
+
+
+@given(closed_box_families())
+@settings(max_examples=200, deadline=None)
+def test_contacts_match_all_pairs(boxes):
+    want = []
+    for (i, a), (j, b) in itertools.combinations(enumerate(boxes), 2):
+        x = a.intersect(b)
+        if x is not None:
+            want.append((i, j, x))
+    assert contacts(boxes) == want  # the same triples, sorted by (i, j)
+
+
+def test_contacts_keep_corner_and_face_contacts():
+    a = cell((0, "1/2"), (0, "1/2"))
+    corner = cell(("1/2", 1), ("1/2", 1))
+    face = cell((0, "1/2"), ("1/2", "3/4"))
+    apart = cell(("3/4", 1), (0, "1/4"))
+    assert contacts([a, corner, face, apart]) == [
+        (0, 1, cell("1/2", "1/2")),
+        (0, 2, cell((0, "1/2"), "1/2")),
+        (1, 2, cell("1/2", ("1/2", "3/4"))),
+    ]
 
 
 def test_mod2_overlap_cancels():

@@ -200,6 +200,60 @@ def test_fill_test_rejects_bad_shape(capsys, flags):
     assert "fill-test: need 0 <= k < d <= 4 and size >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fill-test", "--count", "2", "--workers", "0"],
+        ["fill-test", "--count", "2", "--workers", "-3"],
+        ["search", "anneal", "--n", "3", "--steps", "5", "--workers", "0"],
+        ["search", "anneal", "--n", "3", "--steps", "5", "--workers", "-3"],
+    ],
+)
+def test_rejects_nonpositive_workers(capsys, argv):
+    # used to run serially without a word
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"need --workers >= 1, got {argv[-1]}" in err
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the size asked for and
+    maps in-process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "cpus,workers,tasks,size",
+    [(4, 3, 100, 3), (4, 10_000, 100, 4), (4, 10_000, 2, 2), (None, 8, 100, None)],
+)
+def test_pool_map_clamps_workers_to_tasks_and_cpus(monkeypatch, cpus, workers, tasks, size):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    assert cli._pool_map(abs, list(range(-tasks, 0)), workers) == list(range(tasks, 0, -1))
+    # a single worker (unknown CPU count included) runs in-process
+    assert FakePool.sizes == ([] if size is None else [size])
+
+
+def test_pool_map_rejects_nonpositive_workers():
+    with pytest.raises(ValueError, match="need --workers >= 1, got 0"):
+        cli._pool_map(abs, [1], 0)
+
+
 def test_fill_test_workers_merge_deterministically(capsys):
     code1, out1, _ = run(capsys, "fill-test", "--count", "16", "--d", "3", "--k", "2")
     code2, out2, _ = run(
@@ -239,6 +293,16 @@ def test_search_exhaustive_rejects_bad_shape(tmp_path, capsys, flags):
     assert out == ""
     assert "search: need d, n, num_colors >= 1" in err
     assert not best.exists()
+
+
+@pytest.mark.parametrize("method", ["stripe", "random", "anneal"])
+def test_search_rejects_zero_colors(capsys, method):
+    # stripe used to die with ZeroDivisionError and exit 1 (identity
+    # failure); random and anneal leaked "empty range for randrange()"
+    code, out, err = run(capsys, "search", method, "--n", "3", "--num-colors", "0")
+    assert code == 2
+    assert out == ""
+    assert "search: need d, n, num_colors >= 1, got d=2, n=3, num_colors=0" in err
 
 
 @pytest.mark.parametrize("method", ["random", "anneal"])

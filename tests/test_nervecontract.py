@@ -151,6 +151,24 @@ def test_unshifted_grid_fails_genericity(d):
         p.verify()
 
 
+def test_verify_overlap_needs_positive_measure():
+    half, quarter = F(1, 2), F(1, 4)
+    # the volumes sum to 1, so only the overlap test can reject these cells
+    with pytest.raises(PartitionError, match="cells overlap"):
+        partition_of([[(0, half)], [(quarter, 3 * quarter)]], 1).verify()
+    # cells meeting in a point do not overlap
+    partition_of([[(0, half)], [(half, 1)]], 1).verify()
+    # the 2x2 grid meets along faces and, diagonally, at the centre
+    # corner: verify gets past the overlap test and stops at multiplicity
+    grid = [
+        [(a * half, (a + 1) * half), (b * half, (b + 1) * half)]
+        for a in (0, 1)
+        for b in (0, 1)
+    ]
+    with pytest.raises(PartitionError, match="point multiplicity 4"):
+        partition_of(grid, 2).verify()
+
+
 def test_partition_rejects_large_delta():
     with pytest.raises(PartitionError):
         build_shifted_partition(2, 2, F(1, 8))  # not < 1/(4n)
@@ -190,6 +208,52 @@ def test_part_volumes_sum_to_one():
     g = random_coloring(2, 3, 2, 5)
     parts = mono_parts(p, g)
     assert sum(pt.volume for pt in parts) == 1
+
+
+def oracle_mono_parts(p, g):
+    """mono_parts as it was before it read the partition's contact list:
+    every pair of same-color cells is tested for closed contact.  Returns
+    (cell_ids, color, volume) per part, by smallest member."""
+    colors = [g.color_at(pc.lattice) for pc in p.cells]
+    parent = list(range(len(p.cells)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in combinations(range(len(p.cells)), 2):
+        a, b = p.cells[i].box, p.cells[j].box
+        touch = all(
+            max(alo, blo) <= min(ahi, bhi)
+            for (alo, ahi), (blo, bhi) in zip(a.extents, b.extents)
+        )
+        if colors[i] == colors[j] and touch:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(p.cells)):
+        groups.setdefault(find(i), []).append(i)
+    return [
+        (tuple(members), colors[root], sum(p.cells[i].box.volume() for i in members))
+        for root, members in sorted(groups.items())
+    ]
+
+
+@pytest.mark.parametrize(
+    "d,n,colors",
+    [(2, n, c) for n in (3, 4, 5) for c in (2, 3)]
+    + [(3, n, c) for n in (3, 4) for c in (2, 3, 4)],
+)
+def test_mono_parts_match_all_pairs_oracle(d, n, colors):
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    for seed in range(2):
+        g = random_coloring(d, n, colors, seed)
+        parts = mono_parts(p, g)
+        assert [pt.id for pt in parts] == list(range(len(parts)))
+        got = [(pt.cell_ids, pt.color, pt.volume) for pt in parts]
+        assert got == oracle_mono_parts(p, g)
 
 
 def test_mismatched_shapes_rejected():

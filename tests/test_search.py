@@ -37,6 +37,13 @@ def test_stripe_rejects_bad_width():
         stripe_construction(2, 4, 2, 0)
 
 
+@pytest.mark.parametrize("colors", [0, -1])
+def test_stripe_rejects_nonpositive_colors(colors):
+    # 0 colors used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="num_colors >= 1"):
+        stripe_construction(2, 3, colors, 2)
+
+
 # ----------------------------------------------------------- random grids
 
 
