@@ -112,10 +112,6 @@ class BoxCell:
     def interval_axes(self) -> tuple[int, ...]:
         return tuple(a for a, (lo, hi) in enumerate(self.extents) if lo < hi)
 
-    def is_interval(self, axis: int) -> bool:
-        lo, hi = self.extents[axis]
-        return lo < hi
-
     def plane_key(self):
         """Fixed coordinates, None on interval axes; identifies the affine plane."""
         return tuple(None if lo < hi else lo for lo, hi in self.extents)
@@ -136,9 +132,6 @@ class BoxCell:
         ext = list(self.extents)
         ext[axis] = (lo, hi)
         return BoxCell(ext)
-
-    def contains_point(self, point) -> bool:
-        return all(lo <= x <= hi for (lo, hi), x in zip(self.extents, point))
 
     def intersect(self, other: "BoxCell") -> "BoxCell | None":
         """Closed intersection, or None when empty.  May drop dimension."""
@@ -410,18 +403,6 @@ def is_relative_cycle(z: RectChain) -> bool:
     if z.k == 0:
         return True
     return boundary(z, relative=True).is_zero()
-
-
-def volume_split(z: RectChain, axis: int) -> tuple[Fraction, Fraction]:
-    """Volume split into the part orthogonal / parallel to the given axis."""
-    perp = par = ZERO
-    for b, cf in z.terms.items():
-        v = abs(cf) * b.volume()
-        if b.is_interval(axis):
-            par += v
-        else:
-            perp += v
-    return perp, par
 
 
 def _axis_breakpoints(z: RectChain, axis: int) -> list[Fraction]:

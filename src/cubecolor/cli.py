@@ -240,7 +240,13 @@ def _parse_slice(spec: str | None, d: int) -> dict[int, int]:
     if spec:
         for item in spec.split(","):
             axis_str, _, val_str = item.partition("=")
-            fixed[int(axis_str) - 1] = int(val_str)
+            try:
+                axis, val = int(axis_str) - 1, int(val_str)
+            except ValueError:
+                raise ValueError(f"bad slice item {item!r}, expected <axis>=<value>") from None
+            if axis in fixed:
+                raise ValueError(f"slice fixes axis {axis + 1} twice")
+            fixed[axis] = val
     expected = set(range(2, d))
     if set(fixed) != expected:
         want = ",".join(f"{a + 1}=<v>" for a in sorted(expected)) or "(nothing)"

@@ -12,6 +12,7 @@ human-facing output and 0-based in code.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -54,13 +55,6 @@ class GridColoring:
         for a in reversed(range(self.d)):
             idx = idx * self.n + coords[a]
         return idx
-
-    def coords(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.d):
-            out.append(idx % self.n)
-            idx //= self.n
-        return tuple(out)
 
     def color_at(self, coords) -> int:
         return self.cells[self.flat_index(coords)]
@@ -144,6 +138,25 @@ def _neighbor_table(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=32)
+def _facet_table(d: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per cell, the (axis, side) pairs of the cube facets it lies on;
+    side 0 is the lower facet, 1 the upper.  Interior cells get ()."""
+    table = []
+    for idx in range(n**d):
+        facets = []
+        rest = idx
+        for a in range(d):
+            c = rest % n
+            rest //= n
+            if c == 0:
+                facets.append((a, 0))
+            if c == n - 1:
+                facets.append((a, 1))
+        table.append(tuple(facets))
+    return tuple(table)
+
+
 @dataclass
 class ComponentReport:
     """Connected components of the same-color adjacency graph."""
@@ -203,16 +216,13 @@ def components(g: GridColoring) -> ComponentReport:
     sizes = [0] * m
     colors = [0] * m
     touch = [[[False, False] for _ in range(g.d)] for _ in range(m)]
+    facets = _facet_table(g.d, g.n)
     for idx in range(total):
         lab = labels[idx]
         sizes[lab] += 1
         colors[lab] = cells[idx]
-        coords = g.coords(idx)
-        for a in range(g.d):
-            if coords[a] == 0:
-                touch[lab][a][0] = True
-            if coords[a] == g.n - 1:
-                touch[lab][a][1] = True
+        for a, side in facets[idx]:
+            touch[lab][a][side] = True
 
     return ComponentReport(
         d=g.d,
@@ -223,6 +233,173 @@ def components(g: GridColoring) -> ComponentReport:
         colors=tuple(colors),
         facet_touch=tuple(tuple((lo, hi) for lo, hi in t) for t in touch),
     )
+
+
+class ComponentTracker:
+    """The monochromatic components of a coloring, kept up to date under
+    single-cell recolorings.
+
+    Built once from components(g).  It holds the label of each cell, the
+    member set of each label and a histogram of component sizes, so the
+    largest size and how many components have it read in O(1).
+    propose(idx, new) returns the (max_size, max_count) of the coloring
+    with cell idx recolored to new, without changing the tracker;
+    commit() applies the last proposal.
+
+    A recoloring merges the new-color components around idx, and may
+    split the old component of idx.  A merge relabels the smaller
+    components into the largest one.  A split is first tested inside the
+    3^d ring around idx: when the old-color neighbours stay connected
+    there, the rest of the component stays connected through them.
+    Otherwise one search per local group grows in turn, a cell at a time;
+    groups that meet are joined, and the search stops once at most one
+    group is still open.  The closed groups are the pieces split off, so
+    the cost is their size, not that of the whole component.
+    """
+
+    def __init__(self, g: GridColoring):
+        rep = components(g)
+        self.num_colors = g.num_colors
+        self.cells = list(g.cells)
+        self.label = list(rep.component_id)
+        self.members: dict[int, set[int]] = {lab: set() for lab in range(rep.num_components)}
+        for idx, lab in enumerate(self.label):
+            self.members[lab].add(idx)
+        self._next_label = rep.num_components
+        self._table = _neighbor_table(g.d, g.n)
+        self.hist = [0] * (len(self.cells) + 1)  # components per size
+        for size in rep.sizes:
+            self.hist[size] += 1
+        self.max_size = rep.max_size
+        self.max_count = self.hist[self.max_size]
+        self._pending = None
+
+    def propose(self, idx: int, new: int) -> tuple[int, int]:
+        """(max_size, max_count) after recoloring cell idx to new."""
+        cells, label, members, nbrs = self.cells, self.label, self.members, self._table[idx]
+        old = cells[idx]
+        if new == old or not 0 <= new < self.num_colors:
+            raise ValueError(f"cannot recolor cell {idx} from {old} to {new}")
+        size = len(members[label[idx]])
+        pieces = self._split(idx, [j for j in nbrs if cells[j] == old])
+        merged = {label[j] for j in nbrs if cells[j] == new}
+        joined_sizes = [len(members[m]) for m in merged]
+        joined = 1 + sum(joined_sizes)
+        rest = size - 1 - sum(map(len, pieces))
+
+        changes = [(size, -1), (joined, 1), (rest, 1)]
+        changes += [(s, -1) for s in joined_sizes]
+        changes += [(len(piece), 1) for piece in pieces]
+        delta = {}  # change in components per size
+        for s, change in changes:
+            delta[s] = delta.get(s, 0) + change
+        delta.pop(0, None)  # rest is 0 when idx was the whole component
+
+        top = max(self.max_size, joined, rest, *map(len, pieces))
+        hist = self.hist
+        while hist[top] + delta.get(top, 0) == 0:
+            top -= 1
+        result = (top, hist[top] + delta.get(top, 0))
+        self._pending = (idx, new, pieces, merged, delta, result)
+        return result
+
+    def _split(self, idx: int, same: list[int]) -> list[list[int]]:
+        """The pieces that removing idx cuts off its component, all but
+        one: the piece left out keeps the old label.  `same` lists the
+        neighbours of idx in that component."""
+        if len(same) < 2:
+            return []
+        table = self._table
+        ring = set(same)
+        groups = []
+        while ring:
+            seed = ring.pop()
+            group = [seed]
+            stack = [seed]
+            while stack:
+                for k in table[stack.pop()]:
+                    if k in ring:
+                        ring.remove(k)
+                        group.append(k)
+                        stack.append(k)
+            groups.append(group)
+        if len(groups) < 2:
+            return []
+
+        cells, old = self.cells, self.cells[idx]
+        owner = {idx: -1}  # cell -> group that reached it first
+        for g, group in enumerate(groups):
+            for j in group:
+                owner[j] = g
+        root = list(range(len(groups)))  # union-find over joined groups
+
+        def find(g: int) -> int:
+            while root[g] != g:
+                g = root[g]
+            return g
+
+        frontier = [list(group) for group in groups]
+        turns = deque(range(len(groups)))  # open groups, one cell each in turn
+        closed = []
+        while len(turns) > 1:
+            g = turns.popleft()
+            for k in table[frontier[g].pop()]:
+                if cells[k] != old:
+                    continue
+                h = owner.get(k)
+                if h is None:
+                    owner[k] = g
+                    groups[g].append(k)
+                    frontier[g].append(k)
+                elif h >= 0 and (h := find(h)) != g:
+                    root[h] = g
+                    groups[g].extend(groups[h])
+                    frontier[g].extend(frontier[h])
+                    turns.remove(h)
+            if frontier[g]:
+                turns.append(g)
+            else:
+                closed.append(groups[g])
+        return closed
+
+    def commit(self) -> None:
+        """Apply the last proposal."""
+        if self._pending is None:
+            raise ValueError("no proposal to commit")
+        idx, new, pieces, merged, delta, (top, count) = self._pending
+        self._pending = None
+        label, members = self.label, self.members
+        lab = label[idx]
+        rest = members[lab]
+        rest.discard(idx)
+        for piece in pieces:
+            rest.difference_update(piece)
+            members[self._next_label] = set(piece)
+            for j in piece:
+                label[j] = self._next_label
+            self._next_label += 1
+        if not rest:
+            del members[lab]
+
+        self.cells[idx] = new
+        if merged:
+            keep = max(merged, key=lambda m: len(members[m]))
+            into = members[keep]
+            for m in merged:
+                if m != keep:
+                    for j in members[m]:
+                        label[j] = keep
+                    into |= members.pop(m)
+        else:
+            keep = self._next_label
+            self._next_label += 1
+            into = members[keep] = set()
+        into.add(idx)
+        label[idx] = keep
+
+        for size, change in delta.items():
+            self.hist[size] += change
+        self.max_size, self.max_count = top, count
 
 
 def spanning_report(r: ComponentReport) -> list[tuple[int, int]]:

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
 
 from .bounds import _rat, g_constant
 from .chains import (
@@ -430,27 +429,6 @@ class AuditReport:
         }
 
 
-def box_face_volume(box: BoxCell, k: int) -> tuple[int, Fraction]:
-    """Direct enumeration oracle: the number and total (d-k)-volume of the
-    codimension-k faces of one box.  A box with all axes of length L has
-    C(d,k) * 2^k faces of volume L^(d-k) each."""
-    axes = box.interval_axes
-    d = len(axes)
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= {d}")
-    count = 0
-    total = ZERO
-    for fixed in combinations(axes, k):
-        vol = ONE
-        for a in axes:
-            if a not in fixed:
-                lo, hi = box.extents[a]
-                vol *= hi - lo
-        count += 2**k
-        total += (2**k) * vol
-    return count, total
-
-
 def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
     """Exact volumes of every codimension-k skeleton of the region carried
     by a d-chain, indexed by k = 0..d.
@@ -494,17 +472,6 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
         )
         volumes.append(sum((b.volume() for b in pieces), ZERO))
     return volumes
-
-
-def skeleton_volume(part: Part, k: int, relative: bool = True) -> Fraction:
-    """Exact (d-k)-volume of the codimension-k skeleton of the part's
-    region; see skeleton_volumes.  k = 0 gives the part's volume."""
-    d = part.boxes[0].d
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= {d}")
-    if k == 0:
-        return part.volume
-    return skeleton_volumes(part.chain(), relative)[k]
 
 
 def assemble_and_audit(

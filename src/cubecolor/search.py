@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .gridcolor import GridColoring, components
+from .gridcolor import ComponentTracker, GridColoring, components
 
 DEFAULT_BUDGET = 2**24
 BUDGET_ENV = "CUBECOLOR_MAX_COLORINGS"
@@ -78,51 +78,46 @@ def random_coloring(d: int, n: int, num_colors: int, seed: int) -> GridColoring:
     return GridColoring(d, n, num_colors, cells)
 
 
-def _objective(g: GridColoring) -> tuple[int, int, tuple[int, ...]]:
-    """Primary: max component size; ties: fewer maximal components, then
-    the lexicographically smaller grid."""
-    rep = components(g)
-    m = rep.max_size
-    return (m, sum(1 for s in rep.sizes if s == m), g.cells)
-
-
 def anneal(cfg: SearchConfig) -> tuple[GridColoring, list[int]]:
     """Simulated annealing over single-cell recolorings.
 
-    Returns the best coloring found and the best-so-far objective trace
+    The objective is, in order: the max component size, the number of
+    components of that size, and the grid itself, lexicographically.
+    Returns the best coloring found and the best-so-far max size trace
     (one entry per step, non-increasing).  Never returns anything worse
     than the initial random coloring.
     """
     rng = random.Random(cfg.seed)
-    current = random_coloring(cfg.d, cfg.n, cfg.num_colors, cfg.seed)
-    cur_obj = _objective(current)
-    best, best_obj = current, cur_obj
+    start = random_coloring(cfg.d, cfg.n, cfg.num_colors, cfg.seed)
+    tracker = ComponentTracker(start)
+    cur_obj = (tracker.max_size, tracker.max_count)
     if cfg.num_colors < 2:  # no moves exist
-        return best, [cur_obj[0]] * cfg.steps
+        return start, [cur_obj[0]] * cfg.steps
+    best_obj, best_cells = cur_obj, tracker.cells[:]
     temp = cfg.t_initial
     total = cfg.n**cfg.d
     trace = []
 
     for _ in range(cfg.steps):
         idx = rng.randrange(total)
-        old = current.cells[idx]
+        old = tracker.cells[idx]
         new = rng.randrange(cfg.num_colors - 1)
         if new >= old:
             new += 1
-        cand_cells = current.cells[:idx] + (new,) + current.cells[idx + 1 :]
-        cand = GridColoring(cfg.d, cfg.n, cfg.num_colors, cand_cells)
-        cand_obj = _objective(cand)
+        cand_obj = tracker.propose(idx, new)
         delta = cand_obj[0] - cur_obj[0]
-        accept = delta < 0 or (delta == 0 and cand_obj <= cur_obj)
+        # the grids differ only at idx, so the grid tie-break is new < old
+        accept = (cand_obj, new) < (cur_obj, old)
         if not accept and temp > 1e-12:
             accept = rng.random() < pow(2.718281828459045, -delta / temp)
         if accept:
-            current, cur_obj = cand, cand_obj
-            if cur_obj < best_obj:
-                best, best_obj = current, cur_obj
+            tracker.commit()
+            cur_obj = cand_obj
+            if cur_obj < best_obj or (cur_obj == best_obj and tracker.cells < best_cells):
+                best_obj, best_cells = cur_obj, tracker.cells[:]
         temp *= cfg.decay
         trace.append(best_obj[0])
-    return best, trace
+    return GridColoring(cfg.d, cfg.n, cfg.num_colors, tuple(best_cells)), trace
 
 
 def exhaustive_min(

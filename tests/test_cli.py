@@ -423,3 +423,22 @@ def test_render_bad_slice(tmp_path, capsys):
         capsys, "render", path, "--out", str(tmp_path / "x.ppm"), "--slice", "3=9"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("3=0,3=1", "slice fixes axis 3 twice"),
+    ("abc", "bad slice item 'abc'"),
+    ("3=x", "bad slice item '3=x'"),
+    ("3=", "bad slice item '3='"),
+])
+def test_render_malformed_slice_named(tmp_path, capsys, spec, message):
+    # a repeated axis used to render the last value given, and a bad item
+    # leaked int()'s "invalid literal" message
+    g = stripe_construction(3, 2, 2, 1)
+    path = write_coloring(tmp_path, "s.txt", g.to_text())
+    out = tmp_path / "x.ppm"
+    code, _, err = run(capsys, "render", path, "--out", str(out), "--slice", spec)
+    assert code == 2
+    assert err.startswith(f"render: {message}")
+    assert "invalid literal" not in err
+    assert not out.exists()

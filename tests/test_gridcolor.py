@@ -1,5 +1,6 @@
 """Grid colorings, component labelling, spanning detection."""
 
+import random
 from itertools import product
 
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 
 from cubecolor.gridcolor import (
     ColoringFormatError,
+    ComponentReport,
+    ComponentTracker,
     GridColoring,
+    _neighbor_table,
     components,
     neighbor_offsets,
     parse_coloring,
@@ -39,6 +43,15 @@ def bfs_components(g: GridColoring) -> list[set[tuple[int, ...]]]:
                     queue.append(nbr)
         comps.append(comp)
     return comps
+
+
+def cell_coords(g: GridColoring, idx: int) -> tuple[int, ...]:
+    """The coordinates of flat cell idx, axis 1 first."""
+    out = []
+    for _ in range(g.d):
+        out.append(idx % g.n)
+        idx //= g.n
+    return tuple(out)
 
 
 # --------------------------------------------------------------- parsing
@@ -136,7 +149,7 @@ def test_component_labels_sound():
     g = GridColoring(2, 5, 2, tuple(rng.randrange(2) for _ in range(25)))
     rep = components(g)
     for idx in range(25):
-        ci = g.coords(idx)
+        ci = cell_coords(g, idx)
         for off in neighbor_offsets(2):
             nbr = tuple(c + o for c, o in zip(ci, off))
             if all(0 <= x < 5 for x in nbr):
@@ -204,3 +217,165 @@ def test_components_random_property(n, num_colors, data):
     rep = components(g)
     oracle = bfs_components(g)
     assert sorted(rep.sizes) == sorted(len(c) for c in oracle)
+
+
+def components_by_coords(g: GridColoring) -> ComponentReport:
+    """components() as it was before the facet table: the same union-find,
+    with the facet contacts read from the coordinates cell by cell."""
+    total = g.n**g.d
+    table = _neighbor_table(g.d, g.n)
+    cells = g.cells
+    parent = list(range(total))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for idx in range(total):
+        for nbr in table[idx]:
+            if nbr > idx and cells[nbr] == cells[idx]:
+                ra, rb = find(idx), find(nbr)
+                if ra != rb:
+                    if ra < rb:
+                        parent[rb] = ra
+                    else:
+                        parent[ra] = rb
+    roots = {}
+    labels = [0] * total
+    for idx in range(total):
+        r = find(idx)
+        if r not in roots:
+            roots[r] = len(roots)
+        labels[idx] = roots[r]
+    m = len(roots)
+    sizes = [0] * m
+    colors = [0] * m
+    touch = [[[False, False] for _ in range(g.d)] for _ in range(m)]
+    for idx in range(total):
+        lab = labels[idx]
+        sizes[lab] += 1
+        colors[lab] = cells[idx]
+        coords = cell_coords(g, idx)
+        for a in range(g.d):
+            if coords[a] == 0:
+                touch[lab][a][0] = True
+            if coords[a] == g.n - 1:
+                touch[lab][a][1] = True
+    return ComponentReport(
+        d=g.d,
+        n=g.n,
+        num_colors=g.num_colors,
+        component_id=tuple(labels),
+        sizes=tuple(sizes),
+        colors=tuple(colors),
+        facet_touch=tuple(tuple((lo, hi) for lo, hi in t) for t in touch),
+    )
+
+
+@pytest.mark.parametrize("d,sides", [(1, (1, 2, 7)), (2, (1, 2, 3, 6)), (3, (1, 2, 4)), (4, (1, 2, 3))])
+def test_components_match_coords_oracle(d, sides):
+    rng = random.Random(d)
+    for n in sides:
+        for num_colors in range(1, 5):
+            for _ in range(3):
+                cells = tuple(rng.randrange(num_colors) for _ in range(n**d))
+                g = GridColoring(d, n, num_colors, cells)
+                assert components(g) == components_by_coords(g), (n, num_colors, cells)
+
+
+# --------------------------------------------------------------- tracker
+
+
+def objective(g: GridColoring) -> tuple[int, int]:
+    """Oracle: the max component size and how many components have it,
+    from a fresh labelling."""
+    sizes = components(g).sizes
+    return max(sizes), sizes.count(max(sizes))
+
+
+def check_tracker(t: ComponentTracker, g: GridColoring):
+    """The tracker describes exactly the components of g."""
+    assert t.cells == list(g.cells)
+    rep = components(g)
+    assert sorted(len(m) for m in t.members.values()) == sorted(rep.sizes)
+    parts = {frozenset(m) for m in t.members.values()}
+    assert parts == {
+        frozenset(i for i, lab in enumerate(rep.component_id) if lab == c)
+        for c in range(rep.num_components)
+    }
+    for lab, members in t.members.items():
+        assert all(t.label[j] == lab for j in members)
+    assert (t.max_size, t.max_count) == objective(g)
+    assert sum(t.hist[s] * s for s in range(len(t.hist))) == len(g.cells)
+
+
+def tracker_walk(d, n, num_colors, seed, start, steps=60):
+    rng = random.Random(f"{d}/{n}/{num_colors}/{seed}")
+    total = n**d
+    if start == "random":
+        cells = [rng.randrange(num_colors) for _ in range(total)]
+    else:  # one color everywhere
+        cells = [0] * total
+    g = GridColoring(d, n, num_colors, tuple(cells))
+    t = ComponentTracker(g)
+    check_tracker(t, g)
+    for _ in range(steps):
+        idx = rng.randrange(total)
+        new = rng.choice([c for c in range(num_colors) if c != cells[idx]])
+        cand = cells[:idx] + [new] + cells[idx + 1 :]
+        got = t.propose(idx, new)
+        assert got == objective(GridColoring(d, n, num_colors, tuple(cand)))
+        if rng.random() < 0.7:
+            t.commit()
+            cells = cand
+        check_tracker(t, GridColoring(d, n, num_colors, tuple(cells)))
+
+
+@pytest.mark.parametrize("start", ["random", "one-color"])
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in range(1, 7)])
+def test_tracker_matches_fresh_components_on_random_walks(d, n, start):
+    for num_colors in (2, 3, 4):
+        tracker_walk(d, n, num_colors, seed=0, start=start)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tracker_splits_and_merges_large_components(seed):
+    # longer walks on larger grids: splits that need the bounded search,
+    # and merges that relabel large components
+    tracker_walk(2, 12, 2, seed, "random", steps=300)
+    tracker_walk(3, 5, 3, seed, "one-color", steps=150)
+
+
+def test_tracker_split_of_a_ring_reconnected_outside():
+    # a 1-wide loop of color 0 around a 3x3 block: removing one loop cell
+    # leaves its two neighbours apart in the ring but joined the long way
+    n = 5
+    cells = [0 if i in (0, n - 1) or j in (0, n - 1) else 1 for j in range(n) for i in range(n)]
+    g = GridColoring(2, n, 2, tuple(cells))
+    t = ComponentTracker(g)
+    # the middle of the bottom edge: the loop keeps 15 cells in one piece
+    assert t.propose(2, 1) == (15, 1)
+    t.commit()
+    cells[2] = 1
+    check_tracker(t, GridColoring(2, n, 2, tuple(cells)))
+    # the middle of the top edge as well: two arcs of 7, the block grows to 11
+    assert t.propose(22, 1) == (11, 1)
+    t.commit()
+    cells[22] = 1
+    check_tracker(t, GridColoring(2, n, 2, tuple(cells)))
+
+
+def test_tracker_rejects_bad_moves():
+    t = ComponentTracker(GridColoring(1, 3, 2, (0, 1, 0)))
+    with pytest.raises(ValueError):
+        t.commit()  # nothing proposed
+    with pytest.raises(ValueError):
+        t.propose(0, 0)  # same color
+    with pytest.raises(ValueError):
+        t.propose(0, 2)  # out of range
+    assert t.propose(1, 0) == (3, 1)
+    t.commit()
+    with pytest.raises(ValueError):
+        t.commit()  # the proposal is used up

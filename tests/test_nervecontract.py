@@ -29,13 +29,11 @@ from cubecolor.nervecontract import (
     PartitionError,
     ShiftedPartition,
     assemble_and_audit,
-    box_face_volume,
     build_shifted_partition,
     certify_coloring,
     contraction,
     mono_parts,
     nerve,
-    skeleton_volume,
     skeleton_volumes,
 )
 from cubecolor.search import random_coloring
@@ -80,11 +78,15 @@ def test_partition_provenance_clamped():
     assert sliver.lattice == (0, 1)  # nearest original cell
 
 
+def contains_point(box: BoxCell, point) -> bool:
+    return all(lo <= x <= hi for (lo, hi), x in zip(box.extents, point))
+
+
 def scan_multiplicity(p):
     """Oracle: count the cells containing each vertex of the arrangement
     (every combination of cell endpoints, one value per axis)."""
     axes = [sorted({v for pc in p.cells for v in pc.box.extents[a]}) for a in range(p.d)]
-    return max(sum(1 for pc in p.cells if pc.box.contains_point(pt)) for pt in product(*axes))
+    return max(sum(1 for pc in p.cells if contains_point(pc.box, pt)) for pt in product(*axes))
 
 
 def partition_of(boxes, d) -> ShiftedPartition:
@@ -532,19 +534,19 @@ def _single_box_part(*extents) -> Part:
 
 def test_skeleton_k0_is_volume():
     pt = _single_box_part(("1/4", "1/2"), ("1/4", "1/2"))
-    assert skeleton_volume(pt, 0) == F(1, 16)
+    assert skeleton_volumes(pt.chain())[0] == F(1, 16)
 
 
 def test_skeleton_perimeter_interior_cell():
     pt = _single_box_part(("1/3", "2/3"), ("1/3", "2/3"))
-    assert skeleton_volume(pt, 1) == F(4, 3)  # 4 * (1/3), nothing on the hull
-    assert skeleton_volume(pt, 2) == 4  # four corners
+    assert skeleton_volumes(pt.chain())[1] == F(4, 3)  # 4 * (1/3), nothing on the hull
+    assert skeleton_volumes(pt.chain())[2] == 4  # four corners
 
 
 def test_skeleton_relative_drops_hull_faces():
     pt = _single_box_part((0, "1/3"), ("1/3", "2/3"))
-    assert skeleton_volume(pt, 1) == F(1, 3) * 3  # left edge lies in the hull
-    assert skeleton_volume(pt, 1, relative=False) == F(4, 3)
+    assert skeleton_volumes(pt.chain())[1] == F(1, 3) * 3  # left edge lies in the hull
+    assert skeleton_volumes(pt.chain(), relative=False)[1] == F(4, 3)
 
 
 def test_skeleton_merges_internal_walls():
@@ -552,15 +554,32 @@ def test_skeleton_merges_internal_walls():
     b2 = cell(("1/2", 1), (0, "1/2"))
     pt = Part(0, 0, (0, 1), (b1, b2), b1.volume() + b2.volume())
     # the shared wall at x=1/2 is interior to the region: not a face
-    assert skeleton_volume(pt, 1, relative=False) == 3
-    assert skeleton_volume(pt, 2, relative=False) == 4
+    assert skeleton_volumes(pt.chain(), relative=False)[1] == 3
+    assert skeleton_volumes(pt.chain(), relative=False)[2] == 4
 
 
 def test_skeleton_3d_cell():
     pt = _single_box_part(("1/3", "2/3"), ("1/3", "2/3"), ("1/3", "2/3"))
-    assert skeleton_volume(pt, 1) == 6 * F(1, 9)
-    assert skeleton_volume(pt, 2) == 12 * F(1, 3)
-    assert skeleton_volume(pt, 3) == 8
+    assert skeleton_volumes(pt.chain())[1] == 6 * F(1, 9)
+    assert skeleton_volumes(pt.chain())[2] == 12 * F(1, 3)
+    assert skeleton_volumes(pt.chain())[3] == 8
+
+
+def box_face_volume(box: BoxCell, k: int) -> tuple[int, F]:
+    """Oracle by direct enumeration: the number and total (d-k)-volume of
+    the codimension-k faces of one box.  A box with all axes of length L
+    has C(d,k) * 2^k faces of volume L^(d-k) each."""
+    axes = box.interval_axes
+    count, total = 0, F(0)
+    for fixed in combinations(axes, k):
+        vol = F(1)
+        for a in axes:
+            if a not in fixed:
+                lo, hi = box.extents[a]
+                vol *= hi - lo
+        count += 2**k
+        total += 2**k * vol
+    return count, total
 
 
 def test_face_volume_direct_count_oracle():
@@ -576,7 +595,7 @@ def test_face_volume_direct_count_oracle():
 
 
 def oracle_skeleton_volume(part, k, relative=True):
-    """skeleton_volume as it was before every level came out of one pass:
+    """skeleton_volumes(chain)[k] as it was before every level came out of one pass:
     a fresh boundary per k, and all pairs of pieces at every level."""
     d = part.boxes[0].d
     if k == 0:
@@ -617,7 +636,7 @@ def test_skeleton_bound_random_instance(d, seed):
     parts = mono_parts(p, random_coloring(d, 3, 2, seed))
     for pt in parts:
         for k in range(1, d + 1):
-            assert skeleton_volume(pt, k) <= g_constant(d, k) * pt.volume * 3**k
+            assert skeleton_volumes(pt.chain())[k] <= g_constant(d, k) * pt.volume * 3**k
 
 
 def test_tiny_parts_stress_the_skeleton_bound():
@@ -630,4 +649,4 @@ def test_tiny_parts_stress_the_skeleton_bound():
         g = parse_coloring("2 2 2\n" + " ".join(map(str, cells)))
         for pt in mono_parts(p, g):
             for k in (1, 2):
-                assert skeleton_volume(pt, k) <= g_constant(2, k) * pt.volume * 2**k
+                assert skeleton_volumes(pt.chain())[k] <= g_constant(2, k) * pt.volume * 2**k

@@ -1,8 +1,10 @@
 """Constructions, annealing, and the exhaustive oracle."""
 
+import random
+
 import pytest
 
-from cubecolor.gridcolor import components
+from cubecolor.gridcolor import GridColoring, components
 from cubecolor.search import (
     BudgetError,
     SearchConfig,
@@ -88,6 +90,66 @@ def test_anneal_beats_stripe_at_n8():
     stripe_obj = components(stripe_construction(2, 8, 2, 2)).max_size
     _, trace = anneal(SearchConfig(2, 8, 2, seed=0, steps=10_000))
     assert trace[-1] <= stripe_obj
+
+
+def _objective(g):
+    """Primary: max component size; ties: fewer maximal components, then
+    the lexicographically smaller grid."""
+    rep = components(g)
+    m = rep.max_size
+    return (m, sum(1 for s in rep.sizes if s == m), g.cells)
+
+
+def anneal_by_full_relabel(cfg):
+    """anneal as it was before the component tracker: every candidate is
+    a fresh GridColoring, labelled from scratch."""
+    rng = random.Random(cfg.seed)
+    current = random_coloring(cfg.d, cfg.n, cfg.num_colors, cfg.seed)
+    cur_obj = _objective(current)
+    best, best_obj = current, cur_obj
+    if cfg.num_colors < 2:
+        return best, [cur_obj[0]] * cfg.steps
+    temp = cfg.t_initial
+    total = cfg.n**cfg.d
+    trace = []
+    for _ in range(cfg.steps):
+        idx = rng.randrange(total)
+        old = current.cells[idx]
+        new = rng.randrange(cfg.num_colors - 1)
+        if new >= old:
+            new += 1
+        cand_cells = current.cells[:idx] + (new,) + current.cells[idx + 1 :]
+        cand = GridColoring(cfg.d, cfg.n, cfg.num_colors, cand_cells)
+        cand_obj = _objective(cand)
+        delta = cand_obj[0] - cur_obj[0]
+        accept = delta < 0 or (delta == 0 and cand_obj <= cur_obj)
+        if not accept and temp > 1e-12:
+            accept = rng.random() < pow(2.718281828459045, -delta / temp)
+        if accept:
+            current, cur_obj = cand, cand_obj
+            if cur_obj < best_obj:
+                best, best_obj = current, cur_obj
+        temp *= cfg.decay
+        trace.append(best_obj[0])
+    return best, trace
+
+
+@pytest.mark.parametrize("d,n,colors,steps", [
+    (1, 1, 2, 5), (1, 9, 2, 300), (1, 7, 3, 300), (2, 1, 3, 5), (2, 6, 2, 600),
+    (2, 5, 3, 600), (2, 4, 4, 400), (2, 9, 2, 800), (3, 3, 2, 400), (3, 4, 3, 400),
+    (2, 4, 1, 10),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_anneal_matches_full_relabel_loop(d, n, colors, steps, seed):
+    cfg = SearchConfig(d, n, colors, seed=seed, steps=steps)
+    assert anneal(cfg) == anneal_by_full_relabel(cfg)
+
+
+def test_anneal_matches_full_relabel_loop_cold():
+    # a low start temperature with fast decay: most moves are decided by
+    # the objective and its tie-breaks, not by the Metropolis draw
+    cfg = SearchConfig(2, 6, 3, seed=4, steps=1500, t_initial=0.05, decay=0.99)
+    assert anneal(cfg) == anneal_by_full_relabel(cfg)
 
 
 def test_config_validation():
