@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: analyze, certify, fill-test, search, bounds, render.
-Exit codes: 0 ok, 1 identity or bound failure, 2 usage/parse error.
+Exit codes: 0 ok, 1 identity or bound failure, 2 usage/parse error or an
+output path that cannot be written.
 Every command is deterministic given its flags and seeds; rationals in
 JSON output appear as {"exact": "p/q", "approx": float}.
 """
@@ -75,9 +76,7 @@ def cmd_certify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    report = nervecontract.certify_coloring(
-        g, delta=delta, check_skeleton=not args.no_skeleton, strict=False
-    )
+    report = nervecontract.certify_coloring(g, delta=delta, check_skeleton=not args.no_skeleton)
     json.dump(report.to_json(), sys.stdout, indent=2)
     print()
     return EXIT_OK if report.ok else EXIT_FAILURE
@@ -353,10 +352,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except gridcolor.ColoringFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (nervecontract.PartitionError, chains.ChainError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # bad input (format, partition and chain errors are ValueErrors)
+        # or an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except nervecontract.IdentityError as exc:

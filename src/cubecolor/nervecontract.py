@@ -17,8 +17,9 @@ Given a coloring of the n^d grid, this module
    cube, tabulates the filling-volume sums S(i0, k), and verifies the
    volume bookkeeping against the exact constants.
 
-All identities are checked with exact rational arithmetic; any failure
-is a hard error naming the offending simplex.  Coefficients are mod 2
+All identities are checked with exact rational arithmetic; failures are
+listed in the report, naming the offending simplex or part; an
+overlapping intersection still raises.  Coefficients are mod 2
 throughout the pipeline.
 
 Offsets are deterministic rationals: layers along axis l are translated
@@ -259,23 +260,21 @@ class Nerve:
     sorted index tuples.  `faces` maps every simplex to its intersection
     chain: a vertex (i,) to the chain of part i, k+1 parts to the pieces
     of dimension d - k of their common intersection, each once (the zero
-    chain when the parts meet only in lower dimension)."""
+    chain when the parts meet only in lower dimension).  `cofaces` maps a
+    simplex to the simplices one vertex larger that contain it, in the
+    order the nerve created them."""
 
     simplices: dict[int, list[tuple[int, ...]]]
     max_dim: int
     faces: dict[tuple[int, ...], RectChain] = field(repr=False)
+    cofaces: dict[tuple[int, ...], list[tuple[int, ...]]] = field(repr=False)
 
     def __contains__(self, simplex) -> bool:
         return tuple(sorted(simplex)) in self.faces
 
     def extensions(self, simplex) -> list[tuple[int, ...]]:
         """All (k+1)-simplices of the nerve containing the given one."""
-        s = tuple(sorted(simplex))
-        out = []
-        for t in self.simplices.get(len(s), []):
-            if set(s) <= set(t):
-                out.append(t)
-        return out
+        return self.cofaces.get(tuple(sorted(simplex)), [])
 
 
 def _face(simplex: tuple[int, ...], pieces: list[BoxCell]) -> RectChain:
@@ -315,6 +314,7 @@ def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
         (p.id,): list(p.boxes) for p in parts
     }
     faces = {(p.id,): p.chain() for p in parts}
+    cofaces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     k = 0
     while levels.get(k):
         nxt: list[tuple[int, ...]] = []
@@ -336,11 +336,13 @@ def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
                     regions[t] = pieces
                     common[t] = common[s] & common[(j,)]
                     faces[t] = _face(t, pieces)
+                    for v in t:
+                        cofaces.setdefault(tuple(u for u in t if u != v), []).append(t)
         k += 1
         if nxt:
             levels[k] = nxt
     max_dim = max(lvl for lvl, ss in levels.items() if ss)
-    return Nerve(simplices=levels, max_dim=max_dim, faces=faces)
+    return Nerve(simplices=levels, max_dim=max_dim, faces=faces, cofaces=cofaces)
 
 
 @dataclass
@@ -362,6 +364,8 @@ def contraction(nrv: Nerve) -> ContractionFamily:
     for k in range(nrv.max_dim, 0, -1):
         for s in nrv.simplices.get(k, []):
             z = nrv.faces[s]
+            # summed pairwise on purpose: fill picks its slabs from the
+            # canonical decomposition, and that depends on the grouping
             for t in nrv.extensions(s):
                 z = z + fillings[t]
             fillings[s] = fill(z)
@@ -474,6 +478,13 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
     return volumes
 
 
+def _sum(d: int, k: int, chains) -> RectChain:
+    """The mod-2 sum of k-chains in one canonicalization.  Its decomposition
+    can differ from a pairwise sum's, so use it only where the sum is
+    compared, tested for being a cycle, or measured."""
+    return RectChain.make(d, k, MOD2, [term for c in chains for term in c.terms.items()])
+
+
 def assemble_and_audit(
     parts: list[Part],
     nrv: Nerve,
@@ -481,67 +492,55 @@ def assemble_and_audit(
     n: int,
     m: int,
     check_skeleton: bool = True,
-    strict: bool = True,
 ) -> AuditReport:
     """Assemble the per-part cycles and audit every exact identity and
-    volume bound.  With strict=True the first failure raises
-    IdentityError; otherwise all failures are collected in the report."""
+    volume bound; every failure is listed in the report."""
     d = parts[0].boxes[0].d
     failures: list[str] = []
-
-    def fail(msg: str):
-        if strict:
-            raise IdentityError(msg)
-        failures.append(msg)
 
     # intersection boundary relation, level by level
     eq2_ok = True
     for k in range(0, nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
-            rhs = RectChain.zero(d, d - k - 1, MOD2)
-            for t in nrv.extensions(s):
-                rhs = rhs + nrv.faces[t]
+            rhs = _sum(d, d - k - 1, (nrv.faces[t] for t in nrv.extensions(s)))
             if boundary(nrv.faces[s], relative=True) != modulo_boundary(rhs):
                 eq2_ok = False
-                fail(f"boundary decomposition fails at simplex {s}")
+                failures.append(f"boundary decomposition fails at simplex {s}")
 
     # contraction relation
     eq3_ok = True
     for s, f_chain in family.fillings.items():
-        rhs = nrv.faces[s]
-        for t in nrv.extensions(s):
-            rhs = rhs + family.fillings[t]
+        rhs = _sum(
+            d,
+            d - len(s) + 1,
+            [nrv.faces[s], *(family.fillings[t] for t in nrv.extensions(s))],
+        )
         if boundary(f_chain, relative=True) != modulo_boundary(rhs):
             eq3_ok = False
-            fail(f"contraction relation fails at simplex {s}")
+            failures.append(f"contraction relation fails at simplex {s}")
 
     # per-part cycles
-    X_chains = []
-    for p in parts:
-        x = nrv.faces[(p.id,)]
-        for t in nrv.extensions((p.id,)):
-            x = x + family.fillings[t]
-        X_chains.append(x)
+    X_chains = [
+        _sum(d, d, [nrv.faces[(p.id,)], *(family.fillings[t] for t in nrv.extensions((p.id,)))])
+        for p in parts
+    ]
 
     dXi_zero = True
     for p, x in zip(parts, X_chains):
         if not is_relative_cycle(x):
             dXi_zero = False
-            fail(f"X_{p.id} is not a relative cycle")
+            failures.append(f"X_{p.id} is not a relative cycle")
 
-    total = RectChain.zero(d, d, MOD2)
-    for x in X_chains:
-        total = total + x
-    sum_is_Q = total == fundamental_chain(d, MOD2)
+    sum_is_Q = _sum(d, d, X_chains) == fundamental_chain(d, MOD2)
     if not sum_is_Q:
-        fail("the X_i do not sum to the fundamental class of the cube")
+        failures.append("the X_i do not sum to the fundamental class of the cube")
 
     X_volumes = [x.volume() for x in X_chains]
     max_X = max(X_volumes) if X_volumes else ZERO
     all_below = all(v < ONE for v in X_volumes)
     if all_below and sum_is_Q:
         # impossible: the fundamental class is not a boundary
-        fail("every X_i has volume < 1 yet they sum to the cube")
+        failures.append("every X_i has volume < 1 yet they sum to the cube")
 
     # filling-volume table: S(i0, k) sums over ordered index tuples, so an
     # unordered simplex containing i0 is counted k! times
@@ -568,7 +567,7 @@ def assemble_and_audit(
             s_rows.append({"part": p.id, "k": k, "value": value, "bound": bnd, "ok": ok})
             if not ok:
                 s_ok = False
-                fail(f"filling-volume recursion bound fails for part {p.id}, k={k}")
+                failures.append(f"filling-volume recursion bound fails for part {p.id}, k={k}")
 
     g_rows = []
     g_ok = True
@@ -584,7 +583,7 @@ def assemble_and_audit(
                 )
                 if not ok:
                     g_ok = False
-                    fail(f"skeleton-volume bound fails for part {p.id}, k={k}")
+                    failures.append(f"skeleton-volume bound fails for part {p.id}, k={k}")
 
     return AuditReport(
         d=d,
@@ -612,7 +611,6 @@ def certify_coloring(
     g: GridColoring,
     delta=None,
     check_skeleton: bool = True,
-    strict: bool = True,
 ) -> AuditReport:
     """Run the whole pipeline on one coloring and audit it.  The audit's
     constants are defined for at most d+1 colors (m <= d)."""
@@ -627,12 +625,4 @@ def certify_coloring(
     m = g.num_colors - 1
     nrv = nerve(parts, max_multiplicity=max(m + 1, 1))
     family = contraction(nrv)
-    return assemble_and_audit(
-        parts,
-        nrv,
-        family,
-        n=g.n,
-        m=m,
-        check_skeleton=check_skeleton,
-        strict=strict,
-    )
+    return assemble_and_audit(parts, nrv, family, n=g.n, m=m, check_skeleton=check_skeleton)

@@ -79,7 +79,7 @@ def pipeline_runs():
     for n in (3, 4, 5, 6):
         for seed in range(20):
             g = random_coloring(2, n, 2, seed)
-            rep = certify_coloring(g, check_skeleton=False, strict=True)
+            rep = certify_coloring(g, check_skeleton=False)
             runs.append((n, seed, rep))
     return runs, time.time() - t0
 
@@ -90,6 +90,7 @@ def test_criterion_2_pipeline_identities(pipeline_runs):
     runs, elapsed = pipeline_runs
     assert len(runs) == 80
     for n, seed, rep in runs:
+        assert rep.ok, (n, seed, rep.failures)
         assert rep.eq2_ok, (n, seed)
         assert rep.eq3_ok, (n, seed)
         assert rep.dXi_zero, (n, seed)

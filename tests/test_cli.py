@@ -4,8 +4,6 @@ import json
 
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
-
 from importlib import resources
 from pathlib import Path
 
@@ -60,6 +58,7 @@ def test_analyze_checkerboard_schema(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["max_component"] == 2
+    jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validate(doc, load_schema("analyze.schema.json"))
 
 
@@ -94,6 +93,7 @@ def test_certify_half_half(tmp_path, capsys):
     doc = json.loads(out)
     assert all(doc["identities"].values())
     assert doc["max_X_volume"]["exact"] == "1/1"
+    jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validate(doc, load_schema("certify.schema.json"))
 
 
@@ -139,9 +139,13 @@ def test_certify_too_many_colors_exit_2(tmp_path, capsys, header, cells):
     assert f"at most d+1 = {d + 1} colors" in err
 
 
-@pytest.mark.parametrize("name", ["certify_d3_n4_c2", "certify_d3_n4_c3", "certify_d3_n5_c3"])
+@pytest.mark.parametrize(
+    "name", ["certify_d3_n4_c2", "certify_d3_n4_c3", "certify_d3_n5_c3", "certify_d3_n4_c4"]
+)
 def test_certify_d3_matches_stored_report(capsys, name):
-    # stored reports: a silent change in S_table or X_volumes fails here
+    # stored reports: a silent change in S_table or X_volumes fails here.
+    # n4_c4 has d+1 colors, so its nerve has 3-simplices: their eq2
+    # right-hand side is empty, and triple intersections have cofaces
     code, out, _ = run(capsys, "certify", str(DATA / f"{name}.txt"))
     assert code == 0
     assert json.loads(out)["failures"] == []
@@ -338,6 +342,16 @@ def test_search_best_coloring_file(tmp_path, capsys):
     assert rows[1] == "2,6,2,stripe-w2,11,"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--best-out"])
+def test_search_unwritable_output_exit_2(capsys, flag):
+    # used to escape as a FileNotFoundError traceback with exit code 1
+    path = "/nonexistent/out.txt"
+    code, _, err = run(capsys, "search", "stripe", "--n", "3", flag, path)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert path in err
+
+
 # ----------------------------------------------------------------- bounds
 
 
@@ -442,3 +456,13 @@ def test_render_malformed_slice_named(tmp_path, capsys, spec, message):
     assert err.startswith(f"render: {message}")
     assert "invalid literal" not in err
     assert not out.exists()
+
+
+def test_render_unwritable_output_exit_2(tmp_path, capsys):
+    # used to escape as a FileNotFoundError traceback with exit code 1
+    path = write_coloring(tmp_path, "c.txt", "2 2 2\n0 1 1 0\n")
+    out = "/nonexistent/img.ppm"
+    code, _, err = run(capsys, "render", path, "--out", out)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out in err

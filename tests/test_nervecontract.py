@@ -347,6 +347,28 @@ def test_nerve_faces_match_per_simplex_oracle(d, n, colors):
             assert list(got.terms.items()) == list(want.terms.items()), s
 
 
+def oracle_extensions(nrv, simplex):
+    """The cofaces as Nerve.extensions found them before the nerve pass
+    recorded them: scan every simplex one vertex larger."""
+    s = tuple(sorted(simplex))
+    return [t for t in nrv.simplices.get(len(s), []) if set(s) <= set(t)]
+
+
+@pytest.mark.parametrize(
+    "d,n,colors",
+    [(2, n, c) for n in (3, 4, 5) for c in (2, 3)]
+    + [(3, 3, c) for c in (2, 3, 4)]
+    + [(3, 4, 4)],
+)
+def test_nerve_extensions_match_scan_oracle(d, n, colors):
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    for seed in range(2):
+        nrv = nerve(mono_parts(p, random_coloring(d, n, colors, seed)))
+        for s in (s for ss in nrv.simplices.values() for s in ss):
+            assert nrv.extensions(s) == oracle_extensions(nrv, s), s
+            assert nrv.extensions(reversed(s)) == nrv.extensions(s), s
+
+
 def test_face_chain_vertex_is_part_chain():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
@@ -493,18 +515,17 @@ def test_audit_alpha_definition():
 
 
 def test_audit_flags_engineered_failure():
-    # feed assemble a wrong interface chain: strict raises, lax collects
+    # feed assemble a wrong interface chain: the report lists the failure
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
     nrv = nerve(parts)
     fam = contraction(nrv)
     bogus = RectChain.from_cells(2, [cell(("1/4", "1/2"), "1/4")])
     bad = dataclasses.replace(nrv, faces={**nrv.faces, (0, 1): bogus})
-    with pytest.raises(IdentityError):
-        assemble_and_audit(parts, bad, fam, n=2, m=1, strict=True)
-    rep = assemble_and_audit(parts, bad, fam, n=2, m=1, strict=False)
+    rep = assemble_and_audit(parts, bad, fam, n=2, m=1)
     assert not rep.ok
     assert not rep.eq2_ok
+    assert any("simplex (0, 1)" in msg for msg in rep.failures)
 
 
 def test_every_X_is_zero_or_the_cube():
