@@ -367,9 +367,11 @@ def fundamental_chain(d: int, ring: str = MOD2) -> RectChain:
 
 
 def modulo_boundary(c: RectChain) -> RectChain:
-    """Discard cells supported inside the boundary of the cube."""
-    kept = [(b, cf) for b, cf in c.terms.items() if not b.in_cube_boundary()]
-    return RectChain.make(c.d, c.k, c.ring, kept)
+    """Discard cells supported inside the boundary of the cube.  Whether a
+    cell lies there depends only on its plane, so whole planes go and a
+    canonical chain stays canonical."""
+    kept = {b: cf for b, cf in c.terms.items() if not b.in_cube_boundary()}
+    return RectChain(c.d, c.k, c.ring, kept)
 
 
 def boundary(c: RectChain, relative: bool = False) -> RectChain:

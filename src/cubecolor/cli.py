@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import sys
@@ -173,17 +174,18 @@ def cmd_search(args) -> int:
             if best is None or value < best[0]:
                 best = (value, g)
 
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
+    # open both outputs before writing a row, so a bad path prints nothing
+    with contextlib.ExitStack() as stack:
+        out, best_fh = (
+            stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
+            for path in (args.out, args.best_out)
+        )
+        out = out or sys.stdout
         out.write("d,n,num_colors,method,objective,seed\n")
         for row in rows:
             out.write(",".join(str(x) for x in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    if args.best_out:
-        with open(args.best_out, "w", encoding="utf-8") as fh:
-            fh.write(best[1].to_text())
+        if best_fh:
+            best_fh.write(best[1].to_text())
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ Given a coloring of the n^d grid, this module
 3. builds the nerve of the covering by parts, and in the same pass
    materializes every intersection of parts as an exact rectilinear
    chain, with the boundary of a k-fold intersection decomposing into
-   the (k+1)-fold ones,
+   the (k+1)-fold ones; the intersections are read off the partition's
+   cell cliques (the sets of cells with a common point),
 4. contracts: by descending induction every intersection chain is filled
    so that the family F satisfies
        boundary(F(s)) = C(s) - sum over extensions of F   (mod cube bdry),
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 
 from .bounds import _rat, g_constant
@@ -106,19 +107,31 @@ class ShiftedPartition:
         """The touching cell pairs with their intersections; see chains.contacts."""
         return contacts([pc.box for pc in self.cells])
 
-    def max_multiplicity(self) -> int:
-        """Largest number of closed cells sharing a point: the largest
-        clique of the contact graph, enumerated once per clique in
-        increasing index order.  Exact by Helly's theorem for boxes: closed
-        axis-parallel boxes that meet pairwise share a point."""
+    def cliques(self, key=None):
+        """The cliques of the contact graph whose cells have strictly
+        increasing `key[i]` (default: the index), each once as a tuple of
+        cell ids, in lexicographic order.  Closed boxes that meet pairwise
+        share a point (Helly's theorem for boxes), so these are exactly the
+        sets of such cells with a common point."""
+        key = range(len(self.cells)) if key is None else key
         later: list[set[int]] = [set() for _ in self.cells]
         for i, j, _ in self.contacts:
-            later[i].add(j)
+            if key[i] > key[j]:
+                i, j = j, i
+            if key[i] < key[j]:
+                later[i].add(j)
 
-        def largest(size: int, common: set[int]) -> int:
-            return max((largest(size + 1, common & later[j]) for j in common), default=size)
+        def walk(clique: tuple[int, ...], common: set[int]):
+            yield clique
+            for j in sorted(common):
+                yield from walk(clique + (j,), common & later[j])
 
-        return largest(0, set(range(len(later))))
+        for i in range(len(self.cells)):
+            yield from walk((i,), later[i])
+
+    def max_multiplicity(self) -> int:
+        """Largest number of closed cells sharing a point."""
+        return max(map(len, self.cliques()), default=0)
 
     def verify(self):
         total = sum((pc.box.volume() for pc in self.cells), ZERO)
@@ -293,56 +306,37 @@ def _face(simplex: tuple[int, ...], pieces: list[BoxCell]) -> RectChain:
     return chain
 
 
-def nerve(parts: list[Part], max_multiplicity: int | None = None) -> Nerve:
+def nerve(
+    partition: ShiftedPartition, parts: list[Part], max_multiplicity: int | None = None
+) -> Nerve:
     """All nonempty closed intersections of parts, with their chains.
 
-    The intersection of a simplex's parts is built by extending the
-    region of its prefix with the boxes of the last part, so every
-    intersection is computed once.  A simplex is extended only by later
-    parts that touch all its members: any other part gives no pieces.
-    When `max_multiplicity` is given, a simplex on more parts than that is
+    The parts must cover the partition's cells, each once.  The pieces of
+    a simplex are the distinct intersections of the cell cliques with one
+    cell in each of its parts, in lexicographic order of the cliques.
+    Simplices are created in order of size, then index tuple.  When
+    `max_multiplicity` is given, a simplex on more parts than that is
     reported as a hard MultiplicityError rather than silently accepted.
     """
-    # common[s]: the later parts that touch every member of s
-    common: dict[tuple[int, ...], set[int]] = {(p.id,): set() for p in parts}
-    owner = [p.id for p in parts for _ in p.boxes]  # non-decreasing
-    for a, b, _ in contacts([box for p in parts for box in p.boxes]):
-        if owner[a] != owner[b]:
-            common[(owner[a],)].add(owner[b])
+    if sorted(c for p in parts for c in p.cell_ids) != list(range(len(partition.cells))):
+        raise ValueError("the parts' cell_ids must cover the partition's cells, each once")
+    owner = {c: p.id for p in parts for c in p.cell_ids}
+    pieces: dict[tuple[int, ...], dict[BoxCell, None]] = {}
+    for clique in partition.cliques(owner):
+        if len(clique) > 1:
+            box = reduce(BoxCell.intersect, (partition.cells[c].box for c in clique))
+            pieces.setdefault(tuple(owner[c] for c in clique), {})[box] = None
     levels: dict[int, list[tuple[int, ...]]] = {0: [(p.id,) for p in parts]}
-    regions: dict[tuple[int, ...], list[BoxCell]] = {
-        (p.id,): list(p.boxes) for p in parts
-    }
     faces = {(p.id,): p.chain() for p in parts}
     cofaces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    k = 0
-    while levels.get(k):
-        nxt: list[tuple[int, ...]] = []
-        for s in levels[k]:
-            for j in sorted(common[s]):
-                pieces = []
-                seen = set()
-                for r in regions[s]:
-                    for b in parts[j].boxes:
-                        x = r.intersect(b)
-                        if x is not None and x not in seen:
-                            seen.add(x)
-                            pieces.append(x)
-                if pieces:
-                    t = s + (j,)
-                    if max_multiplicity is not None and len(t) > max_multiplicity:
-                        raise MultiplicityError(t)
-                    nxt.append(t)
-                    regions[t] = pieces
-                    common[t] = common[s] & common[(j,)]
-                    faces[t] = _face(t, pieces)
-                    for v in t:
-                        cofaces.setdefault(tuple(u for u in t if u != v), []).append(t)
-        k += 1
-        if nxt:
-            levels[k] = nxt
-    max_dim = max(lvl for lvl, ss in levels.items() if ss)
-    return Nerve(simplices=levels, max_dim=max_dim, faces=faces, cofaces=cofaces)
+    for t in sorted(pieces, key=lambda t: (len(t), t)):
+        if max_multiplicity is not None and len(t) > max_multiplicity:
+            raise MultiplicityError(t)
+        levels.setdefault(len(t) - 1, []).append(t)
+        faces[t] = _face(t, list(pieces[t]))
+        for v in t:
+            cofaces.setdefault(tuple(u for u in t if u != v), []).append(t)
+    return Nerve(simplices=levels, max_dim=max(levels), faces=faces, cofaces=cofaces)
 
 
 @dataclass
@@ -623,6 +617,6 @@ def certify_coloring(
     partition = build_shifted_partition(g.d, g.n, delta)
     parts = mono_parts(partition, g)
     m = g.num_colors - 1
-    nrv = nerve(parts, max_multiplicity=max(m + 1, 1))
+    nrv = nerve(partition, parts, max_multiplicity=g.num_colors)
     family = contraction(nrv)
     return assemble_and_audit(parts, nrv, family, n=g.n, m=m, check_skeleton=check_skeleton)

@@ -260,6 +260,17 @@ def test_canonical_terms_matches_old_splitter(ring, family, data):
     assert list(new.items()) == list(old_canonical_terms(ring, raw).items())
 
 
+@pytest.mark.parametrize("ring", [MOD2, INTEGER])
+@given(family=same_dim_family(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_modulo_boundary_keeps_a_canonical_chain_canonical(ring, family, data):
+    d, k, boxes = family
+    coefs = data.draw(st.lists(st.integers(-3, 3), min_size=len(boxes), max_size=len(boxes)))
+    c = RectChain.make(d, k, ring, zip(boxes, coefs))
+    kept = [(b, cf) for b, cf in c.terms.items() if not b.in_cube_boundary()]
+    assert modulo_boundary(c).terms == RectChain.make(d, k, ring, kept).terms
+
+
 @given(family=same_dim_family())
 @settings(max_examples=150, deadline=None)
 def test_union_normalize_matches_old_splitter(family):

@@ -346,8 +346,9 @@ def test_search_best_coloring_file(tmp_path, capsys):
 def test_search_unwritable_output_exit_2(capsys, flag):
     # used to escape as a FileNotFoundError traceback with exit code 1
     path = "/nonexistent/out.txt"
-    code, _, err = run(capsys, "search", "stripe", "--n", "3", flag, path)
+    code, out, err = run(capsys, "search", "stripe", "--n", "3", flag, path)
     assert code == 2
+    assert out == ""  # no CSV for a failed command
     assert err.startswith("error: ")
     assert path in err
 

@@ -16,6 +16,7 @@ from cubecolor.chains import (
     RectChain,
     boundary,
     cell,
+    contacts,
     modulo_boundary,
     union_normalize,
     union_volume,
@@ -24,10 +25,12 @@ from cubecolor.gridcolor import parse_coloring
 from cubecolor.nervecontract import (
     IdentityError,
     MultiplicityError,
+    Nerve,
     Part,
     PartitionCell,
     PartitionError,
     ShiftedPartition,
+    _face,
     assemble_and_audit,
     build_shifted_partition,
     certify_coloring,
@@ -271,7 +274,7 @@ def test_mismatched_shapes_rejected():
 def test_nerve_single_part():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 1\n0 0 0 0"))
-    nrv = nerve(parts)
+    nrv = nerve(p, parts)
     assert nrv.max_dim == 0
     assert nrv.simplices[0] == [(0,)]
 
@@ -279,7 +282,7 @@ def test_nerve_single_part():
 def test_nerve_two_parts_one_edge():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
-    nrv = nerve(parts)
+    nrv = nerve(p, parts)
     assert nrv.simplices[1] == [(0, 1)]
     assert (0, 1) in nrv and (1, 0) in nrv  # membership ignores order
 
@@ -288,7 +291,7 @@ def test_nerve_two_parts_one_edge():
 def test_nerve_dimension_two_colors(seed):
     p = build_shifted_partition(2, 4, F(1, 64))
     parts = mono_parts(p, random_coloring(2, 4, 2, seed))
-    nrv = nerve(parts, max_multiplicity=2)
+    nrv = nerve(p, parts, max_multiplicity=2)
     assert nrv.max_dim <= 1
 
 
@@ -296,7 +299,132 @@ def test_nerve_multiplicity_violation_reported():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 4\n0 1 2 3"))
     with pytest.raises(MultiplicityError):
-        nerve(parts, max_multiplicity=2)  # three parts do share points here
+        nerve(p, parts, max_multiplicity=2)  # three parts do share points here
+
+
+def nerve_by_region_products(parts):
+    """Oracle: the nerve as it was built before it read the partition's
+    cell cliques.  Its own contact sweep over the parts' boxes gives the
+    later parts touching each part; a simplex is extended by every later
+    part touching all its members, and its region (the distinct pieces of
+    its intersection) is intersected with every box of that part."""
+    common = {(pt.id,): set() for pt in parts}
+    owner = [pt.id for pt in parts for _ in pt.boxes]
+    for a, b, _ in contacts([box for pt in parts for box in pt.boxes]):
+        if owner[a] != owner[b]:
+            common[(owner[a],)].add(owner[b])
+    levels = {0: [(pt.id,) for pt in parts]}
+    regions = {(pt.id,): list(pt.boxes) for pt in parts}
+    faces = {(pt.id,): pt.chain() for pt in parts}
+    cofaces = {}
+    k = 0
+    while levels.get(k):
+        nxt = []
+        for s in levels[k]:
+            for j in sorted(common[s]):
+                pieces = []
+                seen = set()
+                for r in regions[s]:
+                    for b in parts[j].boxes:
+                        x = r.intersect(b)
+                        if x is not None and x not in seen:
+                            seen.add(x)
+                            pieces.append(x)
+                if pieces:
+                    t = s + (j,)
+                    nxt.append(t)
+                    regions[t] = pieces
+                    common[t] = common[s] & common[(j,)]
+                    faces[t] = _face(t, pieces)
+                    for v in t:
+                        cofaces.setdefault(tuple(u for u in t if u != v), []).append(t)
+        k += 1
+        if nxt:
+            levels[k] = nxt
+    max_dim = max(lvl for lvl, ss in levels.items() if ss)
+    return Nerve(simplices=levels, max_dim=max_dim, faces=faces, cofaces=cofaces)
+
+
+def assert_same_nerve(got, want):
+    assert got.simplices == want.simplices
+    assert got.max_dim == want.max_dim
+    assert list(got.cofaces.items()) == list(want.cofaces.items())
+    assert list(got.faces) == list(want.faces)
+    for s, face in want.faces.items():
+        assert (got.faces[s].d, got.faces[s].k) == (face.d, face.k), s
+        # term by term in order: contraction's fillings follow this order
+        assert list(got.faces[s].terms.items()) == list(face.terms.items()), s
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in range(1, 6)])
+def test_nerve_matches_region_product_oracle(d, n):
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    for colors in range(1, 5):
+        for seed in range(3):
+            parts = mono_parts(p, random_coloring(d, n, colors, seed))
+            want = nerve_by_region_products(parts)
+            assert_same_nerve(nerve(p, parts), want)
+            # a bound trips on the first simplex over it in the oracle's
+            # creation order, where the oracle would raise, or on none
+            for bound in (2, 3):
+                over = [t for ss in want.simplices.values() for t in ss if len(t) > bound]
+                if over:
+                    with pytest.raises(MultiplicityError) as got:
+                        nerve(p, parts, bound)
+                    assert got.value.simplex == over[0]
+                else:
+                    assert nerve(p, parts, bound).simplices == want.simplices
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_nerve_matches_region_product_oracle_on_the_unshifted_grid(d, n):
+    # not simple: 2^d cells meet at a grid vertex, so different cliques of
+    # cells over the same parts can meet in the same piece, kept once
+    cells = [
+        PartitionCell(BoxCell([(F(c, n), F(c + 1, n)) for c in coords]), coords)
+        for coords in product(range(n), repeat=d)
+    ]
+    p = ShiftedPartition(d=d, n=n, delta=F(0), level_offsets={}, cells=cells)
+    for colors in range(2, 5):
+        for seed in range(3):
+            parts = mono_parts(p, random_coloring(d, n, colors, seed))
+            assert_same_nerve(nerve(p, parts), nerve_by_region_products(parts))
+
+
+@pytest.mark.parametrize("drop", ["missing", "repeated", "foreign"])
+def test_nerve_rejects_parts_not_covering_the_partition_once(drop):
+    p = build_shifted_partition(2, 2, F(1, 16))
+    parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
+    last = parts[-1]
+    ids = {
+        "missing": last.cell_ids[:-1],
+        "repeated": last.cell_ids + last.cell_ids[:1],
+        "foreign": last.cell_ids + (len(p.cells),),
+    }[drop]
+    bad = parts[:-1] + [dataclasses.replace(last, cell_ids=ids)]
+    with pytest.raises(ValueError, match="cover the partition's cells"):
+        nerve(p, bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=box_families())
+def test_cliques_are_the_cell_sets_with_a_common_point(data, p):
+    count = len(p.cells)
+    key = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=count, max_size=count))
+    rank = range(count) if key is None else key
+    want = set()
+    for size in range(1, count + 1):
+        for ids in combinations(range(count), size):
+            if len({rank[c] for c in ids}) < size:
+                continue
+            extents = zip(*(p.cells[c].box.extents for c in ids))
+            if any(max(lo for lo, _ in ax) > min(hi for _, hi in ax) for ax in extents):
+                continue  # no common point
+            want.add(tuple(sorted(ids, key=lambda c: rank[c])))
+    got = list(p.cliques(key))
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert got == sorted(got)  # lexicographic: nerve's pieces come in this order
 
 
 # ---------------------------------------------------------- face chains
@@ -337,7 +465,7 @@ def test_nerve_faces_match_per_simplex_oracle(d, n, colors):
     p = build_shifted_partition(d, n, F(1, 16 * n))
     for seed in range(2):
         parts = mono_parts(p, random_coloring(d, n, colors, seed))
-        nrv = nerve(parts)
+        nrv = nerve(p, parts)
         simplices = [s for ss in nrv.simplices.values() for s in ss]
         assert set(nrv.faces) == set(simplices)
         for s in simplices:
@@ -363,7 +491,7 @@ def oracle_extensions(nrv, simplex):
 def test_nerve_extensions_match_scan_oracle(d, n, colors):
     p = build_shifted_partition(d, n, F(1, 16 * n))
     for seed in range(2):
-        nrv = nerve(mono_parts(p, random_coloring(d, n, colors, seed)))
+        nrv = nerve(p, mono_parts(p, random_coloring(d, n, colors, seed)))
         for s in (s for ss in nrv.simplices.values() for s in ss):
             assert nrv.extensions(s) == oracle_extensions(nrv, s), s
             assert nrv.extensions(reversed(s)) == nrv.extensions(s), s
@@ -372,7 +500,7 @@ def test_nerve_extensions_match_scan_oracle(d, n, colors):
 def test_face_chain_vertex_is_part_chain():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
-    assert nerve(parts).faces[(0,)] == parts[0].chain()
+    assert nerve(p, parts).faces[(0,)] == parts[0].chain()
 
 
 def test_face_chain_wall_area():
@@ -381,7 +509,7 @@ def test_face_chain_wall_area():
     # the lower-right one
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
-    c = nerve(parts).faces[(0, 1)]
+    c = nerve(p, parts).faces[(0, 1)]
     assert c.k == 1
     assert c.volume() == F(1, 2) + F(1, 2) + F(1, 80)
 
@@ -390,7 +518,7 @@ def test_face_chain_off_nerve_is_zero():
     p = build_shifted_partition(2, 2, F(1, 16))
     g = parse_coloring("2 2 2\n0 1 1 0")
     parts = mono_parts(p, g)  # parts 0 and 2 are the separated diagonal
-    nrv = nerve(parts)
+    nrv = nerve(p, parts)
     assert (0, 2) not in nrv
     assert (0, 2) not in nrv.faces
     assert oracle_face_chain(parts, (0, 2)).is_zero()
@@ -403,8 +531,9 @@ def test_face_overlap_is_an_identity_error():
     b = Part(
         1, 1, (1, 2), (cell(("1/2", 1), (0, "1/2")), cell(("1/2", 1), ("1/4", 1))), F(5, 8)
     )
+    p = partition_of([box.extents for box in a.boxes + b.boxes], 2)
     with pytest.raises(IdentityError, match=r"\(0, 1\)"):
-        nerve([a, b])
+        nerve(p, [a, b])
 
 
 def eq2_residual(nrv, simplex):
@@ -419,7 +548,7 @@ def eq2_residual(nrv, simplex):
 def test_boundary_decomposition_d2_n3(seed):
     p = build_shifted_partition(2, 3, DELTA[3])
     parts = mono_parts(p, random_coloring(2, 3, 2, seed))
-    nrv = nerve(parts)
+    nrv = nerve(p, parts)
     for k in range(nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
             assert eq2_residual(nrv, s).is_zero(), s
@@ -430,7 +559,7 @@ def test_boundary_decomposition_three_colors():
     # third part takes over, and those points are exactly the 2-simplices
     p = build_shifted_partition(2, 3, DELTA[3])
     parts = mono_parts(p, random_coloring(2, 3, 3, 1))
-    nrv = nerve(parts)
+    nrv = nerve(p, parts)
     for k in range(nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
             assert eq2_residual(nrv, s).is_zero(), s
@@ -442,14 +571,14 @@ def test_boundary_decomposition_three_colors():
 def test_contraction_empty_when_no_edges():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 1\n0 0 0 0"))
-    fam = contraction(nerve(parts))
+    fam = contraction(nerve(p, parts))
     assert fam.fillings == {}
 
 
 def test_contraction_half_half():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
-    nrv = nerve(parts)
+    nrv = nerve(p, parts)
     fam = contraction(nrv)
     f = fam.get((0, 1))
     # filling the interface recovers the right-hand region exactly
@@ -462,7 +591,7 @@ def test_contraction_half_half():
 def test_contraction_relation_random(seed):
     p = build_shifted_partition(2, 4, F(1, 64))
     parts = mono_parts(p, random_coloring(2, 4, 2, seed))
-    nrv = nerve(parts)
+    nrv = nerve(p, parts)
     fam = contraction(nrv)
     for s, f in fam.fillings.items():
         rhs = nrv.faces[s]
@@ -518,7 +647,7 @@ def test_audit_flags_engineered_failure():
     # feed assemble a wrong interface chain: the report lists the failure
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
-    nrv = nerve(parts)
+    nrv = nerve(p, parts)
     fam = contraction(nrv)
     bogus = RectChain.from_cells(2, [cell(("1/4", "1/2"), "1/4")])
     bad = dataclasses.replace(nrv, faces={**nrv.faces, (0, 1): bogus})
@@ -535,7 +664,7 @@ def test_every_X_is_zero_or_the_cube():
     p = build_shifted_partition(2, 4, F(1, 64))
     g = random_coloring(2, 4, 2, 3)
     parts = mono_parts(p, g)
-    nrv = nerve(parts)
+    nrv = nerve(p, parts)
     fam = contraction(nrv)
     cube = fundamental_chain(2)
     for pt in parts:
