@@ -1,9 +1,18 @@
 """Constructions and searches for colorings with small maximal
 monochromatic components.
 
-The exhaustive scan is the brute-force oracle at desk scale; the stripe
-family and the annealer give upper-bound witnesses.  Everything is
-deterministic given its seed.
+The exhaustive search finds the exact minimum at desk scale by depth-first
+branch and bound; the stripe family and the annealer give upper-bound
+witnesses.  Everything is deterministic given its seed.
+
+The branch and bound colors cells in flat order, tries colors in
+increasing order, and cuts a branch as soon as a component of the colored
+prefix reaches the incumbent.  It still returns the lexicographically
+least witness.  A component of a prefix lies inside a component of every
+completion, so each prefix of the least coloring W of minimum value V has
+all components <= V.  Every leaf reached improves strictly on the
+incumbent, and none before W can reach V, so the incumbent stays above V
+until W, no prefix of W is cut, and W is the first leaf of value V.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .gridcolor import ComponentTracker, GridColoring, components
+from .gridcolor import ComponentTracker, GridColoring, _neighbor_table, components
 
 DEFAULT_BUDGET = 2**24
 BUDGET_ENV = "CUBECOLOR_MAX_COLORINGS"
@@ -134,16 +143,100 @@ def exhaustive_min(
     check_shape(d, n, num_colors)
     total = n**d
     cap = budget if budget is not None else coloring_budget()
-    if num_colors**total > cap:
+    if _power_exceeds(num_colors, total, cap):
         raise BudgetError(
             f"{num_colors}^{total} colorings exceed the budget of {cap}"
         )
-    best_val = total + 1
-    best_witness = None
-    for rest in product(range(num_colors), repeat=total - 1):
-        g = GridColoring(d, n, num_colors, (0,) + rest)
-        val = components(g).max_size
-        if val < best_val:
-            best_val = val
-            best_witness = g
-    return best_val, best_witness
+    best_val, cells = _branch_and_bound(d, n, num_colors)
+    witness = GridColoring(d, n, num_colors, tuple(cells))
+    check = components(witness).max_size
+    if check != best_val:
+        raise RuntimeError(
+            f"branch and bound reported {best_val}, but its witness has a "
+            f"largest component of {check}"
+        )
+    return best_val, witness
+
+
+def _power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """base**exp > cap for base, exp >= 1, in at most cap.bit_length()
+    multiplications: the power is never built past the first value over
+    the cap, however large exp is."""
+    if base == 1:
+        return cap < 1
+    acc = 1
+    for _ in range(exp):
+        if acc > cap:
+            return True
+        acc *= base
+    return acc > cap
+
+
+def _branch_and_bound(d: int, n: int, num_colors: int) -> tuple[int, list[int]]:
+    """Depth-first search over colorings in lexicographic order, cell 0
+    fixed to color 0; returns the minimum and the least coloring
+    reaching it.
+
+    A union-find with rollback (union by size, no path compression)
+    holds the components of the colored prefix: placing a cell unions it
+    only with its earlier same-color neighbors, and backtracking undoes
+    those unions.  The walk is a loop, not a recursion, so a branch may
+    be as deep as the grid has cells.
+    """
+    total = n**d
+    if total == 1:
+        return 1, [0]
+    lower = [tuple(j for j in nbrs if j < i) for i, nbrs in enumerate(_neighbor_table(d, n))]
+    parent = list(range(total))
+    size = [1] * total
+    cells = [0] * total
+    best, witness = total + 1, None
+    # per depth k (cells 0..k-1 colored): the prefix's largest component,
+    # the next color to try at cell k, and the roots absorbed by placing it
+    run_max = [0] * (total + 1)
+    run_max[1] = 1
+    next_color = [0] * total
+    absorbed: list[list[int]] = [[] for _ in range(total)]
+
+    def undo(pos: int) -> None:
+        merged = absorbed[pos]
+        while merged:
+            r = merged.pop()
+            size[parent[r]] -= size[r]
+            parent[r] = r
+
+    pos = 1
+    while pos:
+        c = next_color[pos]
+        if c == num_colors or run_max[pos] >= best:
+            pos -= 1
+            if pos:
+                undo(pos)
+            continue
+        next_color[pos] = c + 1
+        cells[pos] = c
+        root, merged = pos, absorbed[pos]
+        for j in lower[pos]:
+            if cells[j] == c:
+                r = j
+                while parent[r] != r:
+                    r = parent[r]
+                if r != root:
+                    if size[r] < size[root]:
+                        r, root = root, r
+                    parent[root] = r
+                    size[r] += size[root]
+                    merged.append(root)
+                    root = r
+        grown = size[root]
+        if grown >= best:
+            undo(pos)
+            continue
+        run_max[pos + 1] = grown if grown > run_max[pos] else run_max[pos]
+        if pos + 1 == total:
+            best, witness = run_max[total], cells[:]
+            undo(pos)
+        else:
+            pos += 1
+            next_color[pos] = 0
+    return best, witness

@@ -1,9 +1,15 @@
-"""Constructions, annealing, and the exhaustive oracle."""
+"""Constructions, annealing, and the exhaustive branch and bound."""
 
+import json
 import random
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+from cubecolor import search
+from cubecolor.bounds import bound_table
 from cubecolor.gridcolor import GridColoring, components
 from cubecolor.search import (
     BudgetError,
@@ -13,6 +19,8 @@ from cubecolor.search import (
     random_coloring,
     stripe_construction,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------- stripes
@@ -197,6 +205,14 @@ def test_exhaustive_rejects_bad_shape(d, n, colors):
 def test_budget_guard():
     with pytest.raises(BudgetError):
         exhaustive_min(2, 6, 2, budget=1000)
+    # the cap counts num_colors^(n^d) colorings, cell 0 not fixed
+    assert exhaustive_min(2, 2, 2, budget=16)[0] == 2
+    with pytest.raises(BudgetError, match=r"^2\^4 colorings exceed the budget of 15$"):
+        exhaustive_min(2, 2, 2, budget=15)
+    for cap in (0, -3):
+        with pytest.raises(BudgetError, match="exceed the budget"):
+            exhaustive_min(1, 1, 1, budget=cap)
+    assert exhaustive_min(1, 1, 1, budget=1) == (1, GridColoring(1, 1, 1, (0,)))
 
 
 def test_budget_env_var(monkeypatch):
@@ -206,3 +222,85 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("CUBECOLOR_MAX_COLORINGS", "100000")
     assert exhaustive_min(2, 2, 2)[0] == 2
 
+
+def test_budget_guard_refuses_a_huge_grid_at_once():
+    # 3^(10^9) colorings: refused after a few dozen multiplications, not
+    # after building the power
+    with pytest.raises(BudgetError, match=r"^3\^1000000000 colorings exceed"):
+        exhaustive_min(3, 1000, 3)
+
+
+def test_exhaustive_one_color_deep_grid():
+    # one branch 1,600 cells deep: the walk is iterative
+    value, witness = exhaustive_min(2, 40, 1)
+    assert value == 1600
+    assert witness.cells == (0,) * 1600
+
+
+def test_exhaustive_checks_its_witness(monkeypatch):
+    class Report:
+        max_size = 5
+
+    monkeypatch.setattr(search, "components", lambda g: Report())
+    with pytest.raises(RuntimeError, match="reported 4, but its witness has a largest component of 5"):
+        exhaustive_min(2, 4, 2)
+
+
+def exhaustive_by_enumeration(d, n, num_colors):
+    """exhaustive_min as it was before the branch and bound: every
+    coloring with cell 0 colored 0, in lexicographic order, labelled from
+    scratch."""
+    total = n**d
+    best_val = total + 1
+    best_witness = None
+    for rest in product(range(num_colors), repeat=total - 1):
+        g = GridColoring(d, n, num_colors, (0,) + rest)
+        val = components(g).max_size
+        if val < best_val:
+            best_val = val
+            best_witness = g
+    return best_val, best_witness
+
+
+ORACLE_SHAPES = (
+    [(1, n, c) for n in range(1, 11) for c in (1, 2, 3)]
+    + [(2, n, 2) for n in range(1, 5)]
+    + [(2, n, 3) for n in range(1, 4)]
+    + [(3, 2, c) for c in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("d,n,colors", ORACLE_SHAPES)
+def test_exhaustive_matches_enumeration(d, n, colors):
+    assert colors ** (n**d - 1) <= 2**15
+    value, witness = exhaustive_min(d, n, colors)
+    expected_value, expected_witness = exhaustive_by_enumeration(d, n, colors)
+    assert (value, witness.cells) == (expected_value, expected_witness.cells)
+
+
+def _exact(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+MINIMA = json.loads((DATA / "exhaustive_minima.json").read_text())["entries"]
+
+
+@pytest.mark.parametrize(
+    "entry", MINIMA, ids=[f"d{e['d']}-n{e['n']}-c{e['num_colors']}" for e in MINIMA]
+)
+def test_exhaustive_minima_regression(entry):
+    d, n, colors, m = entry["d"], entry["n"], entry["num_colors"], entry["m"]
+    assert m == colors - 1
+    value, witness = exhaustive_min(d, n, colors, budget=colors ** (n**d))
+    assert value == entry["value"]
+    assert list(witness.cells) == entry["witness"]
+    assert components(witness).max_size == value
+    bounds = (entry["f_eq5_scaled"], entry["f_remark_scaled"], entry["prior_2color"])
+    if m >= d:
+        assert bounds == (None, None, None)
+        return
+    t = bound_table(d, m, n)
+    scale = n ** (d - m)
+    assert bounds == (_exact(t.f_eq5 * scale), _exact(t.f_remark * scale), _exact(t.prior_2color))
+    if colors == 2:
+        assert value >= t.prior_2color
