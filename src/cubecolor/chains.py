@@ -1,9 +1,12 @@
 """Exact rectilinear chain algebra in the unit cube.
 
 A chain is a formal sum of axis-aligned cells of one dimension k inside
-Q = [0,1]^d, with coefficients mod 2 (default) or in Z.  Every coordinate
-is a `fractions.Fraction`, so all identities checked on these chains
-(boundary relations, volume inequalities) are exact, zero tolerance.
+Q = [0,1]^d, with coefficients mod 2 (default) or in Z.  A cell's corners
+are plain ints, numerators over the denominator `den` of the chain that
+holds it, so all identities checked on these chains (boundary relations,
+volume inequalities) are exact, zero tolerance.  `Fraction` enters where
+corners are read (`lattice_cells`, `random_relative_cycle`) and leaves
+where numbers go out (`RectChain.volume`, `union_volume`, `dumps_chain`).
 
 Conventions used throughout:
 
@@ -21,18 +24,23 @@ Conventions used throughout:
   equal coefficients are merged.  Canonical forms are not unique across
   different decompositions of the same set, so equality of chains is
   decided by checking that the difference cancels to the empty chain.
+* Chains over different denominators combine over their lcm.  Rescaling
+  the lattice maps cells in an order-preserving way, so it never changes
+  a canonical form, a comparison or a choice made by `fill`.
 
 The filling operator `fill` inverts the boundary on relative cycles of
 dimension k < d without increasing volume.  It sweeps along the first
 available axis: the cycle is cut at a generic height t chosen in a slab
 where the cross-section volume is minimal, the two halves are coned to
 the opposite facets, and the cross-section itself is filled recursively
-inside the slice cube and extruded back.
+inside the slice cube and extruded back.  A slab midpoint between two
+lattice points doubles the cycle's denominator first.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,9 +49,6 @@ from typing import Iterable, Iterator, Sequence
 MOD2 = "mod2"
 INTEGER = "int"
 _RINGS = (MOD2, INTEGER)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ChainError(ValueError):
@@ -62,16 +67,11 @@ class FillError(ChainError):
     """Filling was asked for something that is not a relative cycle."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 class BoxCell:
     """One axis-aligned cell: per axis either a fixed value or an interval.
 
-    Stored as a tuple of (lo, hi) pairs with lo == hi meaning "fixed".
+    Stored as a tuple of (lo, hi) int pairs with lo == hi meaning "fixed",
+    numerators over the `den` of the chain or partition holding the cell.
     Immutable and hashable, so cells can key coefficient maps.
     """
 
@@ -80,19 +80,16 @@ class BoxCell:
     def __init__(self, extents):
         ext = []
         for e in extents:
-            if isinstance(e, tuple):
-                lo, hi = _frac(e[0]), _frac(e[1])
-            else:
-                lo = hi = _frac(e)
-            if not (ZERO <= lo <= hi <= ONE):
-                raise ChainError(f"cell extent out of [0,1]: ({lo}, {hi})")
+            lo, hi = e if isinstance(e, tuple) else (e, e)
+            if type(lo) is not int or type(hi) is not int or not 0 <= lo <= hi:
+                raise ChainError(f"cell extent is not a pair of ints 0 <= lo <= hi: {e!r}")
             ext.append((lo, hi))
         object.__setattr__(self, "extents", tuple(ext))
 
     @classmethod
     def _from_valid(cls, extents: tuple) -> "BoxCell":
-        """A cell from (lo, hi) Fraction pairs already known to satisfy
-        0 <= lo <= hi <= 1, such as pieces cut from existing cells."""
+        """A cell from (lo, hi) int pairs already known to satisfy
+        0 <= lo <= hi <= den, such as pieces cut from existing cells."""
         c = object.__new__(cls)
         object.__setattr__(c, "extents", extents)
         return c
@@ -116,22 +113,25 @@ class BoxCell:
         """Fixed coordinates, None on interval axes; identifies the affine plane."""
         return tuple(None if lo < hi else lo for lo, hi in self.extents)
 
-    def volume(self) -> Fraction:
-        v = ONE
+    def volume(self) -> int:
+        """The k-volume in lattice units: the true volume times den^k."""
+        v = 1
         for lo, hi in self.extents:
             if lo < hi:
                 v *= hi - lo
         return v
 
-    def in_cube_boundary(self) -> bool:
+    def in_cube_boundary(self, den: int) -> bool:
         """True when the whole cell lies inside a facet of the cube."""
-        return any(lo == hi and lo in (ZERO, ONE) for lo, hi in self.extents)
+        return any(lo == hi and lo in (0, den) for lo, hi in self.extents)
 
-    def replace(self, axis: int, lo, hi) -> "BoxCell":
-        lo, hi = _frac(lo), _frac(hi)
-        ext = list(self.extents)
-        ext[axis] = (lo, hi)
-        return BoxCell(ext)
+    def replace(self, axis: int, lo: int, hi: int) -> "BoxCell":
+        """This cell with the extent (lo, hi) on `axis`, 0 <= lo <= hi <= den."""
+        return BoxCell._from_valid(self.extents[:axis] + ((lo, hi),) + self.extents[axis + 1 :])
+
+    def scaled(self, factor: int) -> "BoxCell":
+        """The same cell over a denominator `factor` times larger."""
+        return BoxCell._from_valid(tuple((lo * factor, hi * factor) for lo, hi in self.extents))
 
     def intersect(self, other: "BoxCell") -> "BoxCell | None":
         """Closed intersection, or None when empty.  May drop dimension."""
@@ -156,18 +156,29 @@ class BoxCell:
         return "Cell(" + " x ".join(parts) + ")"
 
 
+def lattice_cells(specs) -> tuple[int, list[BoxCell]]:
+    """Cells from rational corners: per axis a value or a (lo, hi) pair in
+    [0, 1], as anything `Fraction` accepts (`"1/3"`, `Fraction(1, 3)`, `0`).
+    Returns the corners' least common denominator and the cells over it."""
+    boxes = [
+        [tuple(map(Fraction, e)) if isinstance(e, tuple) else (Fraction(e),) * 2 for e in spec]
+        for spec in specs
+    ]
+    if not all(0 <= lo <= hi <= 1 for box in boxes for lo, hi in box):
+        raise ChainError("cell extents must satisfy 0 <= lo <= hi <= 1")
+    den = math.lcm(*(v.denominator for box in boxes for pair in box for v in pair))
+    return den, [BoxCell([(int(lo * den), int(hi * den)) for lo, hi in box]) for box in boxes]
+
+
 def contacts(boxes: Sequence[BoxCell]) -> list[tuple[int, int, BoxCell]]:
     """Every pair i < j of closed boxes that meet, with their closed
-    intersection, as (i, j, box) sorted by (i, j).
+    intersection, as (i, j, box) sorted by (i, j), over their common den.
 
     A sort-and-sweep by lower endpoint on the first axis: each box is
     tested only against the earlier ones whose interval there is still
-    open.  Tests compare integer ranks of the coordinates, which order as
-    the coordinates do; only boxes that meet are intersected.
+    open, and only boxes that meet are intersected.
     """
-    cuts = [sorted({v for ext in col for v in ext}) for col in zip(*(b.extents for b in boxes))]
-    ranks = [{v: r for r, v in enumerate(pts)} for pts in cuts]
-    keys = [tuple((rk[lo], rk[hi]) for rk, (lo, hi) in zip(ranks, b.extents)) for b in boxes]
+    keys = [b.extents for b in boxes]
     active: list[int] = []
     out = []
     for j in sorted(range(len(boxes)), key=lambda i: keys[i][0][0]):
@@ -180,11 +191,6 @@ def contacts(boxes: Sequence[BoxCell]) -> list[tuple[int, int, BoxCell]]:
     return sorted(out, key=lambda t: t[:2])
 
 
-def cell(*specs) -> BoxCell:
-    """Convenience constructor: `cell((0, "1/2"), "1/4")` in d=2."""
-    return BoxCell(specs)
-
-
 def _reduce_coef(coef: int, ring: str) -> int:
     if ring == MOD2:
         return coef % 2
@@ -194,14 +200,11 @@ def _reduce_coef(coef: int, ring: str) -> int:
 def _split_planes(raw: Iterable[tuple[BoxCell, int]]):
     """Group cells by affine plane and cut each group on its breakpoints.
 
-    Yields (plane key, free axes, cuts, atoms) per plane.  cuts[pos] is the
-    sorted list of the group's breakpoints on the free axis free[pos].
-    Inside a plane every cell is split along those breakpoints; atoms maps
-    each elementary box to the summed coefficient of the cells covering
-    it.  An atom holds one (i, i + 1) pair of indices into cuts[pos] per
-    free axis: ranks are monotone in the coordinates, so atoms sort and
-    merge exactly as the Fraction boxes they stand for, and hash as ints.
-    A plane with no free axis (a point) has the single atom ().
+    Yields (plane key, free axes, atoms) per plane.  Inside a plane every
+    cell is split along the group's breakpoints on each free axis; atoms
+    maps each elementary box, one (lo, hi) pair per free axis, to the
+    summed coefficient of the cells covering it.  A plane with no free
+    axis (a point) has the single atom ().
     """
     groups: dict[tuple, list[tuple[BoxCell, int]]] = {}
     for c, coef in raw:
@@ -209,24 +212,24 @@ def _split_planes(raw: Iterable[tuple[BoxCell, int]]):
     for key, members in groups.items():
         free = [a for a, v in enumerate(key) if v is None]
         cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free]
+        segments = [list(zip(pts, pts[1:])) for pts in cuts]
         ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
         atoms: dict[tuple, int] = {}
         for c, coef in members:
             per_axis = []
-            for a, rank in zip(free, ranks):
+            for a, segs, rank in zip(free, segments, ranks):
                 lo, hi = c.extents[a]
-                per_axis.append([(i, i + 1) for i in range(rank[lo], rank[hi])])
+                per_axis.append(segs[rank[lo] : rank[hi]])
             for combo in itertools.product(*per_axis):
                 atoms[combo] = atoms.get(combo, 0) + coef
-        yield key, free, cuts, atoms
+        yield key, free, atoms
 
 
-def _rebuild(key: tuple, free: list[int], cuts: list[list[Fraction]], ext: tuple) -> BoxCell:
-    """The cell on the plane `key` whose extent on free[pos] runs between
-    the breakpoints cuts[pos][i] and cuts[pos][j], for ext[pos] = (i, j)."""
+def _rebuild(key: tuple, free: list[int], ext: tuple) -> BoxCell:
+    """The cell on the plane `key` with extent ext[pos] on free[pos]."""
     full = [(v, v) for v in key]
-    for a, pts, (i, j) in zip(free, cuts, ext):
-        full[a] = (pts[i], pts[j])
+    for a, e in zip(free, ext):
+        full[a] = e
     return BoxCell._from_valid(tuple(full))
 
 
@@ -236,14 +239,14 @@ def _canonical_terms(ring: str, raw: Iterable[tuple[BoxCell, int]]) -> dict[BoxC
     runs are re-merged axis by axis."""
     reduced = ((c, _reduce_coef(coef, ring)) for c, coef in raw)
     out: dict[BoxCell, int] = {}
-    for key, free, cuts, atoms in _split_planes((c, cf) for c, cf in reduced if cf):
+    for key, free, atoms in _split_planes((c, cf) for c, cf in reduced if cf):
         atoms = {
             ext: cf
             for ext, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items())
             if cf
         }
         for ext, coef in _merge_atoms(atoms, len(free)).items():
-            out[_rebuild(key, free, cuts, ext)] = coef
+            out[_rebuild(key, free, ext)] = coef
     return out
 
 
@@ -278,15 +281,16 @@ def _merge_atoms(atoms: dict[tuple, int], nfree: int) -> dict[tuple, int]:
 
 @dataclass
 class RectChain:
-    """Formal sum of k-dimensional cells in [0,1]^d, kept canonical."""
+    """Formal sum of k-dimensional cells in [0,1]^d over `den`, kept canonical."""
 
     d: int
     k: int
     ring: str
     terms: dict[BoxCell, int]
+    den: int
 
     @staticmethod
-    def make(d: int, k: int, ring: str, raw: Iterable[tuple[BoxCell, int]]) -> "RectChain":
+    def make(d: int, k: int, ring: str, raw: Iterable, den: int) -> "RectChain":
         if ring not in _RINGS:
             raise ChainError(f"unknown coefficient ring {ring!r}")
         filtered = []
@@ -296,19 +300,31 @@ class RectChain:
             if c.k != k:
                 raise ChainError(f"cell {c} has dimension {c.k}, expected {k}")
             filtered.append((c, coef))
-        return RectChain(d, k, ring, _canonical_terms(ring, filtered))
+        return RectChain(d, k, ring, _canonical_terms(ring, filtered), den)
+
+    @staticmethod
+    def sum(d: int, k: int, ring: str, chains: Iterable["RectChain"]) -> "RectChain":
+        """The sum of k-chains in one canonicalization, over the lcm of
+        their denominators."""
+        chains = list(chains)
+        den = math.lcm(*(c.den for c in chains))
+        raw = [term for c in chains for term in c.rescale(den).terms.items()]
+        return RectChain.make(d, k, ring, raw, den)
 
     @staticmethod
     def zero(d: int, k: int, ring: str = MOD2) -> "RectChain":
-        return RectChain(d, k, ring, {})
+        return RectChain(d, k, ring, {}, 1)
 
-    @staticmethod
-    def from_cells(d: int, cells: Iterable[BoxCell], ring: str = MOD2) -> "RectChain":
-        cells = list(cells)
-        if not cells:
-            raise ChainError("from_cells needs at least one cell; use zero()")
-        k = cells[0].k
-        return RectChain.make(d, k, ring, [(c, 1) for c in cells])
+    def rescale(self, den: int) -> "RectChain":
+        """The same chain over `den`, a multiple of self.den.  Scaling keeps
+        the order of the coordinates, so the terms stay canonical."""
+        if den == self.den:
+            return self
+        factor, rest = divmod(den, self.den)
+        if rest:
+            raise ChainError(f"cannot rescale a chain over {self.den} to {den}")
+        terms = {c.scaled(factor): cf for c, cf in self.terms.items()}
+        return RectChain(self.d, self.k, self.ring, terms, den)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -317,7 +333,7 @@ class RectChain:
         return iter(sorted(self.terms.items(), key=lambda t: t[0].extents))
 
     def volume(self) -> Fraction:
-        return sum((abs(cf) * c.volume() for c, cf in self.terms.items()), ZERO)
+        return Fraction(sum(abs(cf) * c.volume() for c, cf in self.terms.items()), self.den**self.k)
 
     def _check_compatible(self, other: "RectChain"):
         if self.d != other.d or self.ring != other.ring:
@@ -328,13 +344,13 @@ class RectChain:
     def __add__(self, other: "RectChain") -> "RectChain":
         self._check_compatible(other)
         k = self.k if self.terms else other.k
-        raw = list(self.terms.items()) + list(other.terms.items())
-        return RectChain.make(self.d, k, self.ring, raw)
+        return RectChain.sum(self.d, k, self.ring, (self, other))
 
     def __neg__(self) -> "RectChain":
         if self.ring == MOD2:
             return self
-        return RectChain(self.d, self.k, self.ring, {c: -cf for c, cf in self.terms.items()})
+        terms = {c: -cf for c, cf in self.terms.items()}
+        return RectChain(self.d, self.k, self.ring, terms, self.den)
 
     def __sub__(self, other: "RectChain") -> "RectChain":
         return self + (-other)
@@ -363,15 +379,15 @@ def volume(c: RectChain) -> Fraction:
 
 def fundamental_chain(d: int, ring: str = MOD2) -> RectChain:
     """The d-chain covering the cube once."""
-    return RectChain.make(d, d, ring, [(BoxCell([(ZERO, ONE)] * d), 1)])
+    return RectChain.make(d, d, ring, [(BoxCell([(0, 1)] * d), 1)], 1)
 
 
 def modulo_boundary(c: RectChain) -> RectChain:
     """Discard cells supported inside the boundary of the cube.  Whether a
     cell lies there depends only on its plane, so whole planes go and a
     canonical chain stays canonical."""
-    kept = {b: cf for b, cf in c.terms.items() if not b.in_cube_boundary()}
-    return RectChain(c.d, c.k, c.ring, kept)
+    kept = {b: cf for b, cf in c.terms.items() if not b.in_cube_boundary(c.den)}
+    return RectChain(c.d, c.k, c.ring, kept, c.den)
 
 
 def boundary(c: RectChain, relative: bool = False) -> RectChain:
@@ -394,10 +410,10 @@ def boundary(c: RectChain, relative: bool = False) -> RectChain:
             top = b.replace(axis, hi, hi)
             bot = b.replace(axis, lo, lo)
             for face, s in ((top, sign), (bot, -sign)):
-                if relative and face.in_cube_boundary():
+                if relative and face.in_cube_boundary(c.den):
                     continue
                 raw.append((face, coef * s))
-    return RectChain.make(c.d, c.k - 1, c.ring, raw)
+    return RectChain.make(c.d, c.k - 1, c.ring, raw, c.den)
 
 
 def is_relative_cycle(z: RectChain) -> bool:
@@ -407,8 +423,8 @@ def is_relative_cycle(z: RectChain) -> bool:
     return boundary(z, relative=True).is_zero()
 
 
-def _axis_breakpoints(z: RectChain, axis: int) -> list[Fraction]:
-    pts = {ZERO, ONE}
+def _axis_breakpoints(z: RectChain, axis: int) -> list[int]:
+    pts = {0, z.den}
     for b in z.terms:
         lo, hi = b.extents[axis]
         pts.add(lo)
@@ -416,11 +432,12 @@ def _axis_breakpoints(z: RectChain, axis: int) -> list[Fraction]:
     return sorted(pts)
 
 
-def sweep_slabs(z: RectChain, axis: int) -> list[tuple[Fraction, Fraction, Fraction, int]]:
+def sweep_slabs(z: RectChain, axis: int) -> list[tuple[int, int, int, int]]:
     """Decompose [0,1] into slabs on which the cross-section is constant.
 
-    Returns (lo, hi, section_volume, section_cell_count) per slab.  The
-    section at height t inside a slab consists of the cells with an
+    Returns (lo, hi, section_volume, section_cell_count) per slab, lo and
+    hi as numerators over z.den and the section volume over z.den^(k-1).
+    The section at height t inside a slab consists of the cells with an
     interval on `axis` containing the slab, each contributing its
     (k-1)-volume.  Integrating section volume over t recovers exactly the
     volume of the part of z parallel to the axis.
@@ -428,21 +445,21 @@ def sweep_slabs(z: RectChain, axis: int) -> list[tuple[Fraction, Fraction, Fract
     pts = _axis_breakpoints(z, axis)
     slabs = []
     for lo, hi in zip(pts, pts[1:]):
-        sec = ZERO
+        sec = 0
         count = 0
         for b, cf in z.terms.items():
             blo, bhi = b.extents[axis]
             if blo < bhi and blo <= lo and hi <= bhi:
-                sec += abs(cf) * (b.volume() / (bhi - blo))
+                sec += abs(cf) * (b.volume() // (bhi - blo))
                 count += 1
         slabs.append((lo, hi, sec, count))
     return slabs
 
 
 def section_and_split(
-    z: RectChain, axis: int, t
+    z: RectChain, axis: int, t: int
 ) -> tuple[RectChain, RectChain, RectChain]:
-    """Cut z at {x_axis = t}: returns (section, lower half, upper half).
+    """Cut z at {x_axis = t / z.den}: returns (section, lower half, upper half).
 
     t must be generic: distinct from every fixed coordinate and interval
     endpoint of z on the axis.  The halves satisfy z = z0 + z1 and, when z
@@ -451,19 +468,18 @@ def section_and_split(
     position among each cell's interval axes, so those identities hold in
     the integer ring as well.
     """
-    t = _frac(t)
-    if not ZERO < t < ONE:
-        raise SectionError(f"cut height {t} outside (0,1)")
+    if not 0 < t < z.den:
+        raise SectionError(f"cut height {Fraction(t, z.den)} outside (0,1)")
     sec_raw, lo_raw, hi_raw = [], [], []
     for b, coef in z.terms.items():
         blo, bhi = b.extents[axis]
         if blo == bhi:
             if blo == t:
-                raise SectionError(f"cut height {t} hits a fixed coordinate")
+                raise SectionError(f"cut height {Fraction(t, z.den)} hits a fixed coordinate")
             (lo_raw if blo < t else hi_raw).append((b, coef))
             continue
         if t in (blo, bhi):
-            raise SectionError(f"cut height {t} hits an interval endpoint")
+            raise SectionError(f"cut height {Fraction(t, z.den)} hits an interval endpoint")
         if bhi < t:
             lo_raw.append((b, coef))
         elif blo > t:
@@ -474,9 +490,9 @@ def section_and_split(
             sec_raw.append((b.replace(axis, t, t), coef * sign))
             lo_raw.append((b.replace(axis, blo, t), coef))
             hi_raw.append((b.replace(axis, t, bhi), coef))
-    z_t = RectChain.make(z.d, max(z.k - 1, 0), z.ring, sec_raw)
-    z0 = RectChain.make(z.d, z.k, z.ring, lo_raw)
-    z1 = RectChain.make(z.d, z.k, z.ring, hi_raw)
+    z_t = RectChain.make(z.d, max(z.k - 1, 0), z.ring, sec_raw, z.den)
+    z0 = RectChain.make(z.d, z.k, z.ring, lo_raw, z.den)
+    z1 = RectChain.make(z.d, z.k, z.ring, hi_raw, z.den)
     return z_t, z0, z1
 
 
@@ -501,26 +517,25 @@ def cone_project(y: RectChain, axis: int, side: int) -> RectChain:
     """
     if side not in (0, 1):
         raise ChainError("side must be 0 or 1")
-    opposite = ONE if side == 0 else ZERO
-    target = ZERO if side == 0 else ONE
+    den = y.den
     raw = []
     for b, coef in y.terms.items():
         lo, hi = b.extents[axis]
-        if (side == 0 and hi == ONE) or (side == 1 and lo == ZERO):
+        if (side == 0 and hi == den) or (side == 1 and lo == 0):
             raise ConeError(
-                f"cell {b} touches the facet x_{axis + 1}={opposite}; cannot sweep to {target}"
+                f"cell {b} touches the facet x_{axis + 1}={1 - side}; cannot sweep to {side}"
             )
         if lo < hi:
             continue  # sweep direction already spanned: degenerate image
         c = lo
-        new_lo, new_hi = (ZERO, c) if side == 0 else (c, ONE)
+        new_lo, new_hi = (0, c) if side == 0 else (c, den)
         if new_lo == new_hi:
             continue
         sign = _cone_sign(b, axis)
         if side == 1:
             sign = -sign
         raw.append((b.replace(axis, new_lo, new_hi), coef * sign))
-    return RectChain.make(y.d, y.k + 1, y.ring, raw)
+    return RectChain.make(y.d, y.k + 1, y.ring, raw, den)
 
 
 def _extrude(w: RectChain, axis: int) -> RectChain:
@@ -530,25 +545,26 @@ def _extrude(w: RectChain, axis: int) -> RectChain:
         lo, hi = b.extents[axis]
         if lo < hi:
             raise ChainError("extrude input must be fixed on the sweep axis")
-        raw.append((b.replace(axis, ZERO, ONE), coef * _cone_sign(b, axis)))
-    return RectChain.make(w.d, w.k + 1, w.ring, raw)
+        raw.append((b.replace(axis, 0, w.den), coef * _cone_sign(b, axis)))
+    return RectChain.make(w.d, w.k + 1, w.ring, raw, w.den)
 
 
-def _pick_slab(z: RectChain, axis: int) -> Fraction:
-    """Midpoint of the slab with minimal section volume (leftmost on ties)."""
+def _pick_slab(z: RectChain, axis: int) -> int:
+    """Midpoint of the min-section slab (leftmost on ties), over 2 * z.den."""
     best = None
     for lo, hi, sec, _ in sweep_slabs(z, axis):
         if best is None or sec < best[0]:
             best = (sec, lo, hi)
     _, lo, hi = best
-    return (lo + hi) / 2
+    return lo + hi
 
 
 def _fill_rec(z: RectChain, axes: tuple[int, ...]) -> RectChain:
     if z.is_zero():
         return RectChain.zero(z.d, z.k + 1, z.ring)
     axis = axes[0]
-    t = _pick_slab(z, axis)
+    t = _pick_slab(z, axis)  # over 2 * z.den: when odd, refine the lattice
+    z, t = (z.rescale(2 * z.den), t) if t % 2 else (z, t // 2)
     z_t, z0, z1 = section_and_split(z, axis, t)
     h = cone_project(z0, axis, 0) + cone_project(z1, axis, 1)
     if not z_t.is_zero():
@@ -582,7 +598,7 @@ def random_relative_cycle(
     if size < 1:
         raise ChainError(f"need size >= 1, got {size}")
     rng = random.Random(seed)
-    raw = []
+    specs, coefs = [], []
     for _ in range(size):
         axes = sorted(rng.sample(range(d), k + 1))
         ext = []
@@ -593,9 +609,10 @@ def random_relative_cycle(
                 ext.append((Fraction(i, den), Fraction(j, den)))
             else:
                 ext.append(Fraction(rng.randint(1, den - 1), den))
-        coef = 1 if ring == MOD2 else rng.choice([1, 1, 2, -1, -2])
-        raw.append((BoxCell(ext), coef))
-    c = RectChain.make(d, k + 1, ring, raw)
+        specs.append(ext)
+        coefs.append(1 if ring == MOD2 else rng.choice([1, 1, 2, -1, -2]))
+    den, cells = lattice_cells(specs)
+    c = RectChain.make(d, k + 1, ring, zip(cells, coefs), den)
     if c.is_zero():  # random boxes collided and cancelled; perturb the seed
         return random_relative_cycle(seed + 10_000_019, d, k, size, ring)
     return boundary(c, relative=True)
@@ -605,20 +622,17 @@ def union_normalize(boxes: Iterable[BoxCell]) -> list[BoxCell]:
     """Rewrite a family of same-dimension boxes as non-overlapping boxes
     covering the same set (presence semantics, not mod-2 addition)."""
     out: list[BoxCell] = []
-    for key, free, cuts, atoms in _split_planes((b, 1) for b in boxes):
+    for key, free, atoms in _split_planes((b, 1) for b in boxes):
         merged = _merge_atoms(dict.fromkeys(atoms, 1), len(free))
-        out.extend(_rebuild(key, free, cuts, ext) for ext in merged)
+        out.extend(_rebuild(key, free, ext) for ext in merged)
     return out
 
 
-def union_volume(boxes: Iterable[BoxCell]) -> Fraction:
-    """Measure of the union of same-dimension boxes, overlaps counted once.
-    Points each contribute 1 (the empty product), so for 0-dimensional
-    input this counts the distinct points."""
-    total = ZERO
-    for b in union_normalize(boxes):
-        total += b.volume()
-    return total
+def union_volume(boxes: Iterable[BoxCell], den: int) -> Fraction:
+    """Measure of the union of same-dimension boxes over `den`, overlaps
+    counted once.  Points each contribute 1 (the empty product), so for
+    0-dimensional input this counts the distinct points."""
+    return sum((Fraction(b.volume(), den**b.k) for b in union_normalize(boxes)), Fraction(0))
 
 
 def dumps_chain(c: RectChain) -> str:
@@ -627,29 +641,7 @@ def dumps_chain(c: RectChain) -> str:
     for b, coef in c.cells():
         specs = []
         for lo, hi in b.extents:
+            lo, hi = Fraction(lo, c.den), Fraction(hi, c.den)
             specs.append(f"F {lo}" if lo == hi else f"I {lo} {hi}")
         lines.append(f"{coef} | " + " | ".join(specs))
     return "\n".join(lines) + "\n"
-
-
-def loads_chain(text: str) -> RectChain:
-    """Inverse of dumps_chain."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ChainError("chain dump must start with a '# d=... k=... ring=...' header")
-    header = dict(part.split("=") for part in lines[0][1:].split())
-    d, k, ring = int(header["d"]), int(header["k"]), header["ring"]
-    raw = []
-    for ln in lines[1:]:
-        coef_str, *specs = [p.strip() for p in ln.split("|")]
-        ext = []
-        for sp in specs:
-            fields = sp.split()
-            if fields[0] == "F":
-                ext.append(Fraction(fields[1]))
-            elif fields[0] == "I":
-                ext.append((Fraction(fields[1]), Fraction(fields[2])))
-            else:
-                raise ChainError(f"bad axis spec {sp!r}")
-        raw.append((BoxCell(ext), int(coef_str)))
-    return RectChain.make(d, k, ring, raw)

@@ -18,10 +18,10 @@ Given a coloring of the n^d grid, this module
    cube, tabulates the filling-volume sums S(i0, k), and verifies the
    volume bookkeeping against the exact constants.
 
-All identities are checked with exact rational arithmetic; failures are
-listed in the report, naming the offending simplex or part; an
-overlapping intersection still raises.  Coefficients are mod 2
-throughout the pipeline.
+All identities are checked exactly, on integer corners over the
+partition's denominator; failures are listed in the report, naming the
+offending simplex or part; an overlapping intersection still raises.
+Coefficients are mod 2 throughout the pipeline.
 
 Offsets are deterministic rationals: layers along axis l are translated
 diagonally by multiples of delta / p_l for distinct primes p_l > n.
@@ -53,7 +53,6 @@ from .chains import (
 from .gridcolor import GridColoring
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class PartitionError(ValueError):
@@ -93,14 +92,15 @@ class PartitionCell:
 
 @dataclass
 class ShiftedPartition:
-    """A simple tiling of the cube by axis-aligned boxes with exact
-    rational corners; provenance maps every box to a grid cell."""
+    """A simple tiling of the cube by axis-aligned boxes with corners
+    over `den`; provenance maps every box to a grid cell."""
 
     d: int
     n: int
     delta: Fraction
     level_offsets: dict[int, Fraction]  # 1-based layering axis -> per-layer shift
     cells: list[PartitionCell]
+    den: int
 
     @cached_property
     def contacts(self) -> list[tuple[int, int, BoxCell]]:
@@ -134,21 +134,22 @@ class ShiftedPartition:
         return max(map(len, self.cliques()), default=0)
 
     def verify(self):
-        total = sum((pc.box.volume() for pc in self.cells), ZERO)
-        if total != ONE:
+        den = self.den
+        total = Fraction(sum(pc.box.volume() for pc in self.cells), den**self.d)
+        if total != 1:
             raise PartitionError(f"cells tile volume {total}, expected 1")
         for i, j, x in self.contacts:
             if x.k == self.d:
                 raise PartitionError(
                     f"cells overlap: {self.cells[i].box} and {self.cells[j].box}"
                 )
-        cap = Fraction(1, self.n) + 2 * self.delta
+        cap = (Fraction(1, self.n) + 2 * self.delta) * den
         for pc in self.cells:
             for a, (lo, hi) in enumerate(pc.box.extents):
                 length = hi - lo
                 if length > cap:
                     raise PartitionError(f"cell {pc.box} too long on axis {a + 1}")
-                if length != Fraction(1, self.n) and lo != ZERO and hi != ONE:
+                if length * self.n != den and lo != 0 and hi != den:
                     raise PartitionError(
                         f"interior cell {pc.box} has non-standard length on axis {a + 1}"
                     )
@@ -166,7 +167,8 @@ def build_shifted_partition(d: int, n: int, delta) -> ShiftedPartition:
     translated diagonally by j * delta/p on all lower axes, with a
     distinct prime p per level.  Cells overflowing the cube are clipped
     and the vacated margins become new sliver cells whose provenance is
-    the nearest original grid cell."""
+    the nearest original grid cell.  Every corner is i/n plus multiples
+    of delta/p, so all lie over one denominator."""
     delta = Fraction(delta)
     if d < 1 or n < 1:
         raise PartitionError("need d >= 1 and n >= 1")
@@ -174,30 +176,32 @@ def build_shifted_partition(d: int, n: int, delta) -> ShiftedPartition:
         raise PartitionError(f"delta must lie strictly between 0 and 1/(4n), got {delta}")
     primes = _first_primes_above(n, d)
     offsets = {lvl: delta / primes[lvl - 1] for lvl in range(2, d + 1)}
+    den = math.lcm(n, delta.denominator, *(delta.denominator * p for p in primes[1:]))
+    lattice_offsets = {lvl: int(off * den) for lvl, off in offsets.items()}
 
-    step = Fraction(1, n)
+    step = den // n
     cells: list[PartitionCell] = []
 
-    def rec(level: int, shift: Fraction, extents: list, lattice: list):
+    def rec(level: int, shift: int, extents: list, lattice: list):
         # extents / lattice are filled from axis d down to this level
         if level == 0:
             box = BoxCell(list(reversed(extents)))
             cells.append(PartitionCell(box, tuple(reversed(lattice))))
             return
-        s = shift if level < d else ZERO
-        i = math.floor(-s * n - 1) + 1
+        s = shift if level < d else 0
+        i = (-s * n - den) // den + 1  # the first layer with hi > 0
         while True:
             lo = i * step + s
             hi = lo + step
-            clip_lo, clip_hi = max(ZERO, lo), min(ONE, hi)
-            if clip_lo >= ONE:
+            clip_lo, clip_hi = max(0, lo), min(den, hi)
+            if clip_lo >= den:
                 break
             if clip_hi > clip_lo:
                 extents.append((clip_lo, clip_hi))
                 lattice.append(min(max(i, 0), n - 1))
                 rec(
                     level - 1,
-                    shift + i * offsets.get(level, ZERO),
+                    shift + i * lattice_offsets.get(level, 0),
                     extents,
                     lattice,
                 )
@@ -205,8 +209,8 @@ def build_shifted_partition(d: int, n: int, delta) -> ShiftedPartition:
                 lattice.pop()
             i += 1
 
-    rec(d, ZERO, [], [])
-    part = ShiftedPartition(d=d, n=n, delta=delta, level_offsets=offsets, cells=cells)
+    rec(d, 0, [], [])
+    part = ShiftedPartition(d, n, delta, level_offsets=offsets, cells=cells, den=den)
     part.verify()
     return part
 
@@ -220,9 +224,11 @@ class Part:
     cell_ids: tuple[int, ...]
     boxes: tuple[BoxCell, ...]
     volume: Fraction
+    den: int
 
     def chain(self) -> RectChain:
-        return RectChain.from_cells(self.boxes[0].d, self.boxes, MOD2)
+        d = self.boxes[0].d
+        return RectChain.make(d, d, MOD2, [(b, 1) for b in self.boxes], self.den)
 
 
 def mono_parts(p: ShiftedPartition, g: GridColoring) -> list[Part]:
@@ -261,7 +267,8 @@ def mono_parts(p: ShiftedPartition, g: GridColoring) -> list[Part]:
                 color=colors[root],
                 cell_ids=tuple(members),
                 boxes=boxes,
-                volume=sum((b.volume() for b in boxes), ZERO),
+                volume=Fraction(sum(b.volume() for b in boxes), p.den**p.d),
+                den=p.den,
             )
         )
     return parts
@@ -290,16 +297,16 @@ class Nerve:
         return self.cofaces.get(tuple(sorted(simplex)), [])
 
 
-def _face(simplex: tuple[int, ...], pieces: list[BoxCell]) -> RectChain:
+def _face(simplex: tuple[int, ...], pieces: list[BoxCell], den: int) -> RectChain:
     """The chain of dimension d - k carried by the distinct intersection
-    pieces of k+1 parts."""
+    pieces of k+1 parts, over `den`."""
     d = pieces[0].d
     target = d - (len(simplex) - 1)
     kept = [b for b in pieces if b.k == target]
     if not kept:
         return RectChain.zero(d, max(target, 0), MOD2)
-    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept])
-    if chain.volume() != union_volume(kept):
+    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept], den)
+    if chain.volume() != union_volume(kept, den):
         # distinct cell pairs never overlap on positive measure in a simple
         # partition; if they did, mod-2 addition would silently erase area
         raise IdentityError(f"intersection pieces of {simplex} overlap with positive measure")
@@ -333,7 +340,7 @@ def nerve(
         if max_multiplicity is not None and len(t) > max_multiplicity:
             raise MultiplicityError(t)
         levels.setdefault(len(t) - 1, []).append(t)
-        faces[t] = _face(t, list(pieces[t]))
+        faces[t] = _face(t, list(pieces[t]), partition.den)
         for v in t:
             cofaces.setdefault(tuple(u for u in t if u != v), []).append(t)
     return Nerve(simplices=levels, max_dim=max(levels), faces=faces, cofaces=cofaces)
@@ -459,8 +466,9 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
     # Relative needs no check below k = 1: a fixed coordinate of a deeper
     # piece is either one of a k = 1 piece, or a point where one interval
     # ends and another starts, which lies strictly inside (0, 1).
+    den = chain.den
     pieces = list(boundary(chain, relative=relative).terms)
-    volumes = [chain.volume(), sum((b.volume() for b in pieces), ZERO)]
+    volumes = [chain.volume(), Fraction(sum(b.volume() for b in pieces), den ** (chain.d - 1))]
     for target in range(chain.d - 2, -1, -1):
         patterns = [tuple(lo == hi for lo, hi in b.extents) for b in pieces]
         pieces = union_normalize(
@@ -468,7 +476,7 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
             for i, j, x in contacts(pieces)
             if patterns[i] != patterns[j] and x.k == target
         )
-        volumes.append(sum((b.volume() for b in pieces), ZERO))
+        volumes.append(Fraction(sum(b.volume() for b in pieces), den**target))
     return volumes
 
 
@@ -476,7 +484,7 @@ def _sum(d: int, k: int, chains) -> RectChain:
     """The mod-2 sum of k-chains in one canonicalization.  Its decomposition
     can differ from a pairwise sum's, so use it only where the sum is
     compared, tested for being a cycle, or measured."""
-    return RectChain.make(d, k, MOD2, [term for c in chains for term in c.terms.items()])
+    return RectChain.sum(d, k, MOD2, chains)
 
 
 def assemble_and_audit(
@@ -492,24 +500,23 @@ def assemble_and_audit(
     d = parts[0].boxes[0].d
     failures: list[str] = []
 
-    # intersection boundary relation, level by level
+    # intersection boundary relation, level by level; mod 2 a relation
+    # holds when its two sides sum to zero off the cube boundary
     eq2_ok = True
     for k in range(0, nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
-            rhs = _sum(d, d - k - 1, (nrv.faces[t] for t in nrv.extensions(s)))
-            if boundary(nrv.faces[s], relative=True) != modulo_boundary(rhs):
+            rhs = [nrv.faces[t] for t in nrv.extensions(s)]
+            residual = _sum(d, d - k - 1, [boundary(nrv.faces[s], relative=True), *rhs])
+            if not modulo_boundary(residual).is_zero():
                 eq2_ok = False
                 failures.append(f"boundary decomposition fails at simplex {s}")
 
     # contraction relation
     eq3_ok = True
     for s, f_chain in family.fillings.items():
-        rhs = _sum(
-            d,
-            d - len(s) + 1,
-            [nrv.faces[s], *(family.fillings[t] for t in nrv.extensions(s))],
-        )
-        if boundary(f_chain, relative=True) != modulo_boundary(rhs):
+        rhs = [nrv.faces[s], *(family.fillings[t] for t in nrv.extensions(s))]
+        residual = _sum(d, d - len(s) + 1, [boundary(f_chain, relative=True), *rhs])
+        if not modulo_boundary(residual).is_zero():
             eq3_ok = False
             failures.append(f"contraction relation fails at simplex {s}")
 
@@ -531,7 +538,7 @@ def assemble_and_audit(
 
     X_volumes = [x.volume() for x in X_chains]
     max_X = max(X_volumes) if X_volumes else ZERO
-    all_below = all(v < ONE for v in X_volumes)
+    all_below = all(v < 1 for v in X_volumes)
     if all_below and sum_is_Q:
         # impossible: the fundamental class is not a boundary
         failures.append("every X_i has volume < 1 yet they sum to the cube")

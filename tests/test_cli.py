@@ -140,12 +140,20 @@ def test_certify_too_many_colors_exit_2(tmp_path, capsys, header, cells):
 
 
 @pytest.mark.parametrize(
-    "name", ["certify_d3_n4_c2", "certify_d3_n4_c3", "certify_d3_n5_c3", "certify_d3_n4_c4"]
+    "name",
+    [
+        "certify_d3_n4_c2",
+        "certify_d3_n4_c3",
+        "certify_d3_n5_c3",
+        "certify_d3_n4_c4",
+        "certify_d3_n8_c4",
+    ],
 )
 def test_certify_d3_matches_stored_report(capsys, name):
     # stored reports: a silent change in S_table or X_volumes fails here.
     # n4_c4 has d+1 colors, so its nerve has 3-simplices: their eq2
-    # right-hand side is empty, and triple intersections have cofaces
+    # right-hand side is empty, and triple intersections have cofaces.
+    # n8_c4 is random_coloring(3, 8, 4, 1), the largest grid certify accepts
     code, out, _ = run(capsys, "certify", str(DATA / f"{name}.txt"))
     assert code == 0
     assert json.loads(out)["failures"] == []

@@ -15,8 +15,8 @@ from cubecolor.chains import (
     BoxCell,
     RectChain,
     boundary,
-    cell,
     contacts,
+    lattice_cells,
     modulo_boundary,
     union_normalize,
     union_volume,
@@ -45,13 +45,18 @@ from cubecolor.search import random_coloring
 DELTA = {2: F(1, 16), 3: F(1, 48), 4: F(1, 64)}
 
 
+def fractions_of(box, den):
+    """The box's extents as Fraction pairs."""
+    return [(F(lo, den), F(hi, den)) for lo, hi in box.extents]
+
+
 # ----------------------------------------------------------- partitions
 
 
 def test_partition_d1_is_unshifted():
     p = build_shifted_partition(1, 3, F(1, 16))
     assert len(p.cells) == 3
-    assert [pc.box.extents[0] for pc in p.cells] == [
+    assert [fractions_of(pc.box, p.den)[0] for pc in p.cells] == [
         (F(0), F(1, 3)),
         (F(1, 3), F(2, 3)),
         (F(2, 3), F(1)),
@@ -63,15 +68,17 @@ def test_partition_d2_n2_sliver_and_multiplicity():
     p = build_shifted_partition(2, 2, F(1, 16))
     assert len(p.cells) == 5  # 4 descendants of the grid cells plus 1 sliver
     assert p.max_multiplicity() == 3  # simple: d + 1
-    widths = sorted(pc.box.extents[0][1] - pc.box.extents[0][0] for pc in p.cells)
+    assert p.den == 80  # level 2 shifts by delta/5
+    widths = sorted(F(hi - lo, p.den) for (lo, hi), _ in (pc.box.extents for pc in p.cells))
     assert widths[0] == F(1, 80)  # the sliver, delta / first-prime-above-2
     total = sum(pc.box.volume() for pc in p.cells)
-    assert total == 1
+    assert total == p.den**2
 
 
 def test_partition_d3_n3_tiles_exactly():
     p = build_shifted_partition(3, 3, DELTA[3])
-    assert sum(pc.box.volume() for pc in p.cells) == 1
+    assert p.den == 48 * 7 * 11  # levels 2 and 3 shift by delta/7 and delta/11
+    assert sum(pc.box.volume() for pc in p.cells) == p.den**3
     assert p.max_multiplicity() <= 4
 
 
@@ -93,12 +100,15 @@ def scan_multiplicity(p):
 
 
 def partition_of(boxes, d) -> ShiftedPartition:
+    """A partition of boxes given by rational corners."""
+    den, cells = lattice_cells(boxes)
     return ShiftedPartition(
         d=d,
         n=1,
         delta=F(0),
         level_offsets={},
-        cells=[PartitionCell(BoxCell(b), (0,) * d) for b in boxes],
+        cells=[PartitionCell(b, (0,) * d) for b in cells],
+        den=den,
     )
 
 
@@ -139,9 +149,8 @@ def test_multiplicity_counts_boxes_touching_at_a_corner_and_a_face():
 @pytest.mark.parametrize("d", [2, 3])
 def test_unshifted_grid_fails_genericity(d):
     # all offsets zero: the 2^d cells of the n=2 grid meet at the centre
-    half = F(1, 2)
     cells = [
-        PartitionCell(BoxCell([(c * half, (c + 1) * half) for c in coords]), coords)
+        PartitionCell(BoxCell([(c, c + 1) for c in coords]), coords)
         for coords in product((0, 1), repeat=d)
     ]
     p = ShiftedPartition(
@@ -150,6 +159,7 @@ def test_unshifted_grid_fails_genericity(d):
         delta=F(1, 32),
         level_offsets={lvl: F(0) for lvl in range(2, d + 1)},
         cells=cells,
+        den=2,
     )
     assert p.max_multiplicity() == 2**d
     with pytest.raises(PartitionError, match=rf"multiplicity {2**d} exceeds d\+1 = {d + 1}"):
@@ -241,7 +251,7 @@ def oracle_mono_parts(p, g):
     for i in range(len(p.cells)):
         groups.setdefault(find(i), []).append(i)
     return [
-        (tuple(members), colors[root], sum(p.cells[i].box.volume() for i in members))
+        (tuple(members), colors[root], F(sum(p.cells[i].box.volume() for i in members), p.den**p.d))
         for root, members in sorted(groups.items())
     ]
 
@@ -335,7 +345,7 @@ def nerve_by_region_products(parts):
                     nxt.append(t)
                     regions[t] = pieces
                     common[t] = common[s] & common[(j,)]
-                    faces[t] = _face(t, pieces)
+                    faces[t] = _face(t, pieces, parts[0].den)
                     for v in t:
                         cofaces.setdefault(tuple(u for u in t if u != v), []).append(t)
         k += 1
@@ -381,10 +391,10 @@ def test_nerve_matches_region_product_oracle_on_the_unshifted_grid(d, n):
     # not simple: 2^d cells meet at a grid vertex, so different cliques of
     # cells over the same parts can meet in the same piece, kept once
     cells = [
-        PartitionCell(BoxCell([(F(c, n), F(c + 1, n)) for c in coords]), coords)
+        PartitionCell(BoxCell([(c, c + 1) for c in coords]), coords)
         for coords in product(range(n), repeat=d)
     ]
-    p = ShiftedPartition(d=d, n=n, delta=F(0), level_offsets={}, cells=cells)
+    p = ShiftedPartition(d=d, n=n, delta=F(0), level_offsets={}, cells=cells, den=n)
     for colors in range(2, 5):
         for seed in range(3):
             parts = mono_parts(p, random_coloring(d, n, colors, seed))
@@ -452,8 +462,9 @@ def oracle_face_chain(parts, simplex):
     kept = [b for b in regions if b.k == target]
     if not kept:
         return RectChain.zero(d, target, MOD2)
-    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept])
-    assert chain.volume() == union_volume(kept)
+    den = parts[0].den
+    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept], den)
+    assert chain.volume() == union_volume(kept, den)
     return chain
 
 
@@ -527,11 +538,10 @@ def test_face_chain_off_nerve_is_zero():
 def test_face_overlap_is_an_identity_error():
     # part 1's boxes overlap, so its two wall pieces against part 0 overlap
     # on {1/2} x [1/4, 1/2]; mod-2 addition would erase that stretch
-    a = Part(0, 0, (0,), (cell((0, "1/2"), (0, 1)),), F(1, 2))
-    b = Part(
-        1, 1, (1, 2), (cell(("1/2", 1), (0, "1/2")), cell(("1/2", 1), ("1/4", 1))), F(5, 8)
-    )
-    p = partition_of([box.extents for box in a.boxes + b.boxes], 2)
+    boxes = [((0, "1/2"), (0, 1)), (("1/2", 1), (0, "1/2")), (("1/2", 1), ("1/4", 1))]
+    p = partition_of(boxes, 2)
+    a = Part(0, 0, (0,), (p.cells[0].box,), F(1, 2), p.den)
+    b = Part(1, 1, (1, 2), (p.cells[1].box, p.cells[2].box), F(5, 8), p.den)
     with pytest.raises(IdentityError, match=r"\(0, 1\)"):
         nerve(p, [a, b])
 
@@ -649,12 +659,69 @@ def test_audit_flags_engineered_failure():
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
     nrv = nerve(p, parts)
     fam = contraction(nrv)
-    bogus = RectChain.from_cells(2, [cell(("1/4", "1/2"), "1/4")])
+    den, cells = lattice_cells([(("1/4", "1/2"), "1/4")])
+    bogus = RectChain.make(2, 1, MOD2, [(cells[0], 1)], den)
     bad = dataclasses.replace(nrv, faces={**nrv.faces, (0, 1): bogus})
     rep = assemble_and_audit(parts, bad, fam, n=2, m=1)
     assert not rep.ok
     assert not rep.eq2_ok
     assert any("simplex (0, 1)" in msg for msg in rep.failures)
+
+
+def comparing_audit_failures(nrv, family, d):
+    """The eq2 and eq3 failures as the audit found them before each check
+    became one sum: the relative boundary compared with the right-hand
+    side summed on its own."""
+    out = []
+    for k in range(nrv.max_dim + 1):
+        for s in nrv.simplices.get(k, []):
+            rhs = RectChain.sum(d, d - k - 1, MOD2, (nrv.faces[t] for t in nrv.extensions(s)))
+            if boundary(nrv.faces[s], relative=True) != modulo_boundary(rhs):
+                out.append(f"boundary decomposition fails at simplex {s}")
+    for s, f_chain in family.fillings.items():
+        rhs = RectChain.sum(
+            d, d - len(s) + 1, MOD2, [nrv.faces[s], *(family.fillings[t] for t in nrv.extensions(s))]
+        )
+        if boundary(f_chain, relative=True) != modulo_boundary(rhs):
+            out.append(f"contraction relation fails at simplex {s}")
+    return out
+
+
+@pytest.mark.parametrize("d,n,seed", [(2, 4, 0), (2, 4, 1), (2, 5, 2), (3, 3, 0)])
+def test_eq2_eq3_failures_match_the_comparing_audit(d, n, seed):
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    parts = mono_parts(p, random_coloring(d, n, 3, seed))
+    nrv = nerve(p, parts)
+    fam = contraction(nrv)
+    # swap the faces and the fillings of the first two edges: the checks
+    # at both edges, and at the simplices next to them, see wrong chains
+    a, b = nrv.simplices[1][:2]
+    faces = {**nrv.faces, a: nrv.faces[b], b: nrv.faces[a]}
+    fillings = {**fam.fillings, a: fam.fillings[b], b: fam.fillings[a]}
+    variants = [
+        (nrv, fam),
+        (dataclasses.replace(nrv, faces=faces), fam),
+        (nrv, dataclasses.replace(fam, fillings=fillings)),
+    ]
+    for corrupted, (bad_nrv, bad_fam) in enumerate(variants):
+        rep = assemble_and_audit(parts, bad_nrv, bad_fam, n=n, m=2, check_skeleton=False)
+        got = [f for f in rep.failures if "boundary decomposition" in f or "relation fails" in f]
+        assert got == comparing_audit_failures(bad_nrv, bad_fam, d)
+        assert bool(got) == bool(corrupted)
+
+
+def test_pipeline_cells_hold_ints():
+    # corners are numerators over a denominator: no Fraction reaches a cell
+    p = build_shifted_partition(3, 3, DELTA[3])
+    nrv = nerve(p, mono_parts(p, random_coloring(3, 3, 3, 1)))
+    chains = [*nrv.faces.values(), *contraction(nrv).fillings.values()]
+    boxes = [pc.box for pc in p.cells] + [b for c in chains for b in c.terms]
+    assert all(type(v) is int for b in boxes for ext in b.extents for v in ext)
+    # every denominator is the partition's, doubled by fill where it cut
+    # between two lattice points (a zero chain is over 1)
+    for c in (c for c in chains if not c.is_zero()):
+        ratio, rest = divmod(c.den, p.den)
+        assert rest == 0 and ratio & (ratio - 1) == 0, c.den
 
 
 def test_every_X_is_zero_or_the_cube():
@@ -678,8 +745,8 @@ def test_every_X_is_zero_or_the_cube():
 
 
 def _single_box_part(*extents) -> Part:
-    b = cell(*extents)
-    return Part(id=0, color=0, cell_ids=(0,), boxes=(b,), volume=b.volume())
+    den, (b,) = lattice_cells([extents])
+    return Part(id=0, color=0, cell_ids=(0,), boxes=(b,), volume=F(b.volume(), den**b.d), den=den)
 
 
 def test_skeleton_k0_is_volume():
@@ -700,9 +767,8 @@ def test_skeleton_relative_drops_hull_faces():
 
 
 def test_skeleton_merges_internal_walls():
-    b1 = cell((0, "1/2"), (0, "1/2"))
-    b2 = cell(("1/2", 1), (0, "1/2"))
-    pt = Part(0, 0, (0, 1), (b1, b2), b1.volume() + b2.volume())
+    den, (b1, b2) = lattice_cells([((0, "1/2"), (0, "1/2")), (("1/2", 1), (0, "1/2"))])
+    pt = Part(0, 0, (0, 1), (b1, b2), F(b1.volume() + b2.volume(), den**2), den)
     # the shared wall at x=1/2 is interior to the region: not a face
     assert skeleton_volumes(pt.chain(), relative=False)[1] == 3
     assert skeleton_volumes(pt.chain(), relative=False)[2] == 4
@@ -716,9 +782,9 @@ def test_skeleton_3d_cell():
 
 
 def box_face_volume(box: BoxCell, k: int) -> tuple[int, F]:
-    """Oracle by direct enumeration: the number and total (d-k)-volume of
-    the codimension-k faces of one box.  A box with all axes of length L
-    has C(d,k) * 2^k faces of volume L^(d-k) each."""
+    """Oracle by direct enumeration: the number and total (d-k)-volume, in
+    lattice units, of the codimension-k faces of one box.  A box with all
+    axes of length L has C(d,k) * 2^k faces of volume L^(d-k) each."""
     axes = box.interval_axes
     count, total = 0, F(0)
     for fixed in combinations(axes, k):
@@ -735,13 +801,13 @@ def box_face_volume(box: BoxCell, k: int) -> tuple[int, F]:
 def test_face_volume_direct_count_oracle():
     # independent count: fixing any k of d axes at either end gives
     # C(d,k) * 2^k faces; on a cube of side 1/n each has volume n^(k-d)
-    b = cell((0, "1/3"), (0, "1/3"), (0, "1/3"))
+    den, (b,) = lattice_cells([((0, "1/3"), (0, "1/3"), (0, "1/3"))])
     for k in range(4):
         count, total = box_face_volume(b, k)
         from math import comb
 
         assert count == comb(3, k) * 2**k
-        assert total == comb(3, k) * 2**k * F(1, 3) ** (3 - k)
+        assert total / den ** (3 - k) == comb(3, k) * 2**k * F(1, 3) ** (3 - k)
 
 
 def oracle_skeleton_volume(part, k, relative=True):
@@ -759,11 +825,11 @@ def oracle_skeleton_volume(part, k, relative=True):
                 continue
             x = b1.intersect(b2)
             if x is not None and x.k == target:
-                if relative and x.in_cube_boundary():
+                if relative and x.in_cube_boundary(part.den):
                     continue
                 found.append(x)
         pieces = union_normalize(found)
-    return sum((b.volume() for b in pieces), F(0))
+    return F(sum(b.volume() for b in pieces), part.den ** (d - k))
 
 
 @pytest.mark.parametrize(
