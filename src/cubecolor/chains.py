@@ -6,7 +6,7 @@ are plain ints, numerators over the denominator `den` of the chain that
 holds it, so all identities checked on these chains (boundary relations,
 volume inequalities) are exact, zero tolerance.  `Fraction` enters where
 corners are read (`lattice_cells`, `random_relative_cycle`) and leaves
-where numbers go out (`RectChain.volume`, `union_volume`, `dumps_chain`).
+where numbers go out (`RectChain.volume`, `dumps_chain`).
 
 Conventions used throughout:
 
@@ -432,11 +432,11 @@ def _axis_breakpoints(z: RectChain, axis: int) -> list[int]:
     return sorted(pts)
 
 
-def sweep_slabs(z: RectChain, axis: int) -> list[tuple[int, int, int, int]]:
+def sweep_slabs(z: RectChain, axis: int) -> list[tuple[int, int, int]]:
     """Decompose [0,1] into slabs on which the cross-section is constant.
 
-    Returns (lo, hi, section_volume, section_cell_count) per slab, lo and
-    hi as numerators over z.den and the section volume over z.den^(k-1).
+    Returns (lo, hi, section_volume) per slab, lo and hi as numerators
+    over z.den and the section volume over z.den^(k-1).
     The section at height t inside a slab consists of the cells with an
     interval on `axis` containing the slab, each contributing its
     (k-1)-volume.  Integrating section volume over t recovers exactly the
@@ -446,13 +446,11 @@ def sweep_slabs(z: RectChain, axis: int) -> list[tuple[int, int, int, int]]:
     slabs = []
     for lo, hi in zip(pts, pts[1:]):
         sec = 0
-        count = 0
         for b, cf in z.terms.items():
             blo, bhi = b.extents[axis]
             if blo < bhi and blo <= lo and hi <= bhi:
                 sec += abs(cf) * (b.volume() // (bhi - blo))
-                count += 1
-        slabs.append((lo, hi, sec, count))
+        slabs.append((lo, hi, sec))
     return slabs
 
 
@@ -552,7 +550,7 @@ def _extrude(w: RectChain, axis: int) -> RectChain:
 def _pick_slab(z: RectChain, axis: int) -> int:
     """Midpoint of the min-section slab (leftmost on ties), over 2 * z.den."""
     best = None
-    for lo, hi, sec, _ in sweep_slabs(z, axis):
+    for lo, hi, sec in sweep_slabs(z, axis):
         if best is None or sec < best[0]:
             best = (sec, lo, hi)
     _, lo, hi = best
@@ -626,13 +624,6 @@ def union_normalize(boxes: Iterable[BoxCell]) -> list[BoxCell]:
         merged = _merge_atoms(dict.fromkeys(atoms, 1), len(free))
         out.extend(_rebuild(key, free, ext) for ext in merged)
     return out
-
-
-def union_volume(boxes: Iterable[BoxCell], den: int) -> Fraction:
-    """Measure of the union of same-dimension boxes over `den`, overlaps
-    counted once.  Points each contribute 1 (the empty product), so for
-    0-dimensional input this counts the distinct points."""
-    return sum((Fraction(b.volume(), den**b.k) for b in union_normalize(boxes)), Fraction(0))
 
 
 def dumps_chain(c: RectChain) -> str:

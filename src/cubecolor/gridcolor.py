@@ -28,6 +28,16 @@ class ColoringFormatError(ValueError):
         super().__init__(message)
 
 
+def _check_count(d: int, n: int, got: int, what: str, line: int | None = None):
+    """Raise unless `got` is n^d.  The power is not built when it cannot
+    equal `got` (n^d >= n, and n^d >= 2^d for n > 1), so a huge header
+    fails at once, with a message that names n^d."""
+    if n > got or (n > 1 and d > got.bit_length()):
+        raise ColoringFormatError(f"expected {n}^{d} {what}, got {got}", line)
+    if n**d != got:
+        raise ColoringFormatError(f"expected {n}^{d} = {n**d} {what}, got {got}", line)
+
+
 @dataclass(frozen=True)
 class GridColoring:
     """One color index per cell of the n^d grid."""
@@ -40,10 +50,7 @@ class GridColoring:
     def __post_init__(self):
         if self.d < 1 or self.n < 1 or self.num_colors < 1:
             raise ColoringFormatError("d, n and num_colors must all be >= 1")
-        if len(self.cells) != self.n**self.d:
-            raise ColoringFormatError(
-                f"expected {self.n**self.d} cells, got {len(self.cells)}"
-            )
+        _check_count(self.d, self.n, len(self.cells), "cells")
         for c in self.cells:
             if not 0 <= c < self.num_colors:
                 raise ColoringFormatError(
@@ -85,13 +92,8 @@ def parse_coloring(text: str) -> GridColoring:
     num_colors = as_int(2, "color count")
     if d < 1 or n < 1 or num_colors < 1:
         raise ColoringFormatError("d, n and num_colors must all be >= 1", tokens[0][1])
-    expected = n**d
     body = tokens[3:]
-    if len(body) != expected:
-        raise ColoringFormatError(
-            f"expected {expected} cell colors, got {len(body)}",
-            body[-1][1] if body else tokens[-1][1],
-        )
+    _check_count(d, n, len(body), "cell colors", body[-1][1] if body else tokens[-1][1])
     cells = []
     for pos in range(len(body)):
         tok, ln = body[pos]

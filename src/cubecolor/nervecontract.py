@@ -12,7 +12,7 @@ Given a coloring of the n^d grid, this module
    cell cliques (the sets of cells with a common point),
 4. contracts: by descending induction every intersection chain is filled
    so that the family F satisfies
-       boundary(F(s)) = C(s) - sum over extensions of F   (mod cube bdry),
+       boundary(F(s)) = C(s) - sum over cofaces of F   (mod cube bdry),
 5. assembles per-part cycles X_i = C_i - sum_j F(i,j), checks that each
    is a relative cycle, that they sum to the fundamental class of the
    cube, tabulates the filling-volume sums S(i0, k), and verifies the
@@ -48,7 +48,6 @@ from .chains import (
     is_relative_cycle,
     modulo_boundary,
     union_normalize,
-    union_volume,
 )
 from .gridcolor import GridColoring
 
@@ -98,7 +97,6 @@ class ShiftedPartition:
     d: int
     n: int
     delta: Fraction
-    level_offsets: dict[int, Fraction]  # 1-based layering axis -> per-layer shift
     cells: list[PartitionCell]
     den: int
 
@@ -175,9 +173,9 @@ def build_shifted_partition(d: int, n: int, delta) -> ShiftedPartition:
     if not ZERO < delta < Fraction(1, 4 * n):
         raise PartitionError(f"delta must lie strictly between 0 and 1/(4n), got {delta}")
     primes = _first_primes_above(n, d)
-    offsets = {lvl: delta / primes[lvl - 1] for lvl in range(2, d + 1)}
     den = math.lcm(n, delta.denominator, *(delta.denominator * p for p in primes[1:]))
-    lattice_offsets = {lvl: int(off * den) for lvl, off in offsets.items()}
+    # 1-based layering axis -> per-layer shift delta / p, over den
+    lattice_offsets = {lvl: int(delta / primes[lvl - 1] * den) for lvl in range(2, d + 1)}
 
     step = den // n
     cells: list[PartitionCell] = []
@@ -210,7 +208,7 @@ def build_shifted_partition(d: int, n: int, delta) -> ShiftedPartition:
             i += 1
 
     rec(d, 0, [], [])
-    part = ShiftedPartition(d, n, delta, level_offsets=offsets, cells=cells, den=den)
+    part = ShiftedPartition(d, n, delta, cells=cells, den=den)
     part.verify()
     return part
 
@@ -277,24 +275,18 @@ def mono_parts(p: ShiftedPartition, g: GridColoring) -> list[Part]:
 @dataclass
 class Nerve:
     """Simplices of the covering nerve, keyed by dimension; simplices are
-    sorted index tuples.  `faces` maps every simplex to its intersection
-    chain: a vertex (i,) to the chain of part i, k+1 parts to the pieces
-    of dimension d - k of their common intersection, each once (the zero
-    chain when the parts meet only in lower dimension).  `cofaces` maps a
-    simplex to the simplices one vertex larger that contain it, in the
-    order the nerve created them."""
+    sorted index tuples, and these maps are read with them directly.
+    `faces` maps every simplex to its intersection chain: a vertex (i,) to
+    the chain of part i, k+1 parts to the pieces of dimension d - k of
+    their common intersection, each once (the zero chain when the parts
+    meet only in lower dimension).  `cofaces` maps a simplex to the
+    simplices one vertex larger that contain it, in the order the nerve
+    created them; a maximal simplex has no entry."""
 
     simplices: dict[int, list[tuple[int, ...]]]
     max_dim: int
     faces: dict[tuple[int, ...], RectChain] = field(repr=False)
     cofaces: dict[tuple[int, ...], list[tuple[int, ...]]] = field(repr=False)
-
-    def __contains__(self, simplex) -> bool:
-        return tuple(sorted(simplex)) in self.faces
-
-    def extensions(self, simplex) -> list[tuple[int, ...]]:
-        """All (k+1)-simplices of the nerve containing the given one."""
-        return self.cofaces.get(tuple(sorted(simplex)), [])
 
 
 def _face(simplex: tuple[int, ...], pieces: list[BoxCell], den: int) -> RectChain:
@@ -305,12 +297,11 @@ def _face(simplex: tuple[int, ...], pieces: list[BoxCell], den: int) -> RectChai
     kept = [b for b in pieces if b.k == target]
     if not kept:
         return RectChain.zero(d, max(target, 0), MOD2)
-    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept], den)
-    if chain.volume() != union_volume(kept, den):
+    if any(x.k == target for _, _, x in contacts(kept)):
         # distinct cell pairs never overlap on positive measure in a simple
         # partition; if they did, mod-2 addition would silently erase area
         raise IdentityError(f"intersection pieces of {simplex} overlap with positive measure")
-    return chain
+    return RectChain.make(d, target, MOD2, [(b, 1) for b in kept], den)
 
 
 def nerve(
@@ -346,31 +337,22 @@ def nerve(
     return Nerve(simplices=levels, max_dim=max(levels), faces=faces, cofaces=cofaces)
 
 
-@dataclass
-class ContractionFamily:
-    """Filling chains per nerve simplex of dimension >= 1: boundary(F(s))
-    equals C(s) minus the sum of F over the extensions of s."""
-
-    fillings: dict[tuple[int, ...], RectChain]
-
-    def get(self, simplex) -> RectChain | None:
-        return self.fillings.get(tuple(sorted(simplex)))
-
-
-def contraction(nrv: Nerve) -> ContractionFamily:
-    """Build the filling family by descending induction from the deepest
-    intersections.  The argument handed to the filling operator is checked
-    to be a relative cycle (fill raises otherwise)."""
+def contraction(nrv: Nerve) -> dict[tuple[int, ...], RectChain]:
+    """The filling F(s) of every nerve simplex s of dimension >= 1, with
+    boundary(F(s)) = C(s) minus the sum of F over the cofaces of s, built
+    by descending induction from the deepest intersections.  The argument
+    handed to the filling operator is checked to be a relative cycle (fill
+    raises otherwise)."""
     fillings: dict[tuple[int, ...], RectChain] = {}
     for k in range(nrv.max_dim, 0, -1):
         for s in nrv.simplices.get(k, []):
             z = nrv.faces[s]
             # summed pairwise on purpose: fill picks its slabs from the
             # canonical decomposition, and that depends on the grouping
-            for t in nrv.extensions(s):
+            for t in nrv.cofaces.get(s, []):
                 z = z + fillings[t]
             fillings[s] = fill(z)
-    return ContractionFamily(fillings)
+    return fillings
 
 
 @dataclass
@@ -490,7 +472,7 @@ def _sum(d: int, k: int, chains) -> RectChain:
 def assemble_and_audit(
     parts: list[Part],
     nrv: Nerve,
-    family: ContractionFamily,
+    fillings: dict[tuple[int, ...], RectChain],
     n: int,
     m: int,
     check_skeleton: bool = True,
@@ -505,7 +487,7 @@ def assemble_and_audit(
     eq2_ok = True
     for k in range(0, nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
-            rhs = [nrv.faces[t] for t in nrv.extensions(s)]
+            rhs = [nrv.faces[t] for t in nrv.cofaces.get(s, [])]
             residual = _sum(d, d - k - 1, [boundary(nrv.faces[s], relative=True), *rhs])
             if not modulo_boundary(residual).is_zero():
                 eq2_ok = False
@@ -513,8 +495,8 @@ def assemble_and_audit(
 
     # contraction relation
     eq3_ok = True
-    for s, f_chain in family.fillings.items():
-        rhs = [nrv.faces[s], *(family.fillings[t] for t in nrv.extensions(s))]
+    for s, f_chain in fillings.items():
+        rhs = [nrv.faces[s], *(fillings[t] for t in nrv.cofaces.get(s, []))]
         residual = _sum(d, d - len(s) + 1, [boundary(f_chain, relative=True), *rhs])
         if not modulo_boundary(residual).is_zero():
             eq3_ok = False
@@ -522,7 +504,7 @@ def assemble_and_audit(
 
     # per-part cycles
     X_chains = [
-        _sum(d, d, [nrv.faces[(p.id,)], *(family.fillings[t] for t in nrv.extensions((p.id,)))])
+        _sum(d, d, [nrv.faces[(p.id,)], *(fillings[t] for t in nrv.cofaces.get((p.id,), []))])
         for p in parts
     ]
 
@@ -546,14 +528,13 @@ def assemble_and_audit(
     # filling-volume table: S(i0, k) sums over ordered index tuples, so an
     # unordered simplex containing i0 is counted k! times
     alpha = max(p.volume for p in parts) * Fraction(n) ** m
-    S_table: dict[tuple[int, int], Fraction] = {}
-    for p in parts:
-        for k in range(1, m + 2):
-            tot = ZERO
-            for s in nrv.simplices.get(k, []):
-                if p.id in s and s in family.fillings:
-                    tot += family.fillings[s].volume()
-            S_table[(p.id, k)] = tot * math.factorial(k)
+    S_table = {(p.id, k): ZERO for p in parts for k in range(1, m + 2)}
+    for s, f_chain in fillings.items():
+        k = len(s) - 1
+        if k <= m + 1:
+            term = f_chain.volume() * math.factorial(k)
+            for i0 in s:
+                S_table[(i0, k)] += term
 
     s_rows = []
     s_ok = True
@@ -625,5 +606,5 @@ def certify_coloring(
     parts = mono_parts(partition, g)
     m = g.num_colors - 1
     nrv = nerve(partition, parts, max_multiplicity=g.num_colors)
-    family = contraction(nrv)
-    return assemble_and_audit(parts, nrv, family, n=g.n, m=m, check_skeleton=check_skeleton)
+    fillings = contraction(nrv)
+    return assemble_and_audit(parts, nrv, fillings, n=g.n, m=m, check_skeleton=check_skeleton)

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: outputs, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -76,6 +77,16 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", path)
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("header,power", [("20000 2 2", "2^20000"), ("10000000 3 2", "3^10000000")])
+def test_analyze_huge_header_exit_2_at_once(tmp_path, capsys, header, power):
+    path = write_coloring(tmp_path, "huge.txt", f"{header}\n0 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", path)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: line 2: expected {power} cell colors, got 2\n"
 
 
 def test_analyze_missing_file_exit_2(capsys):

@@ -84,6 +84,41 @@ def test_parse_wrong_token_count():
         parse_coloring("2 2 2 \n 0 0 1 1 1")
 
 
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("20000 2 2\n0 1\n", "line 2: expected 2^20000 cell colors, got 2"),
+        ("10000000 3 2\n0 1\n", "line 2: expected 3^10000000 cell colors, got 2"),
+        ("2 5000 2\n0 1\n", "line 2: expected 5000^2 cell colors, got 2"),
+        ("2 2 2\n0 1\n1\n", "line 3: expected 2^2 = 4 cell colors, got 3"),
+    ],
+)
+def test_parse_count_mismatch_names_n_to_the_d(text, want):
+    # n^d is not built when it cannot match: 2^20000 used to fail while
+    # formatting its 6,000 digits, and 3^10000000 took seconds to build
+    with pytest.raises(ColoringFormatError) as err:
+        parse_coloring(text)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize(
+    "d,n,want",
+    [(20000, 2, "expected 2^20000 cells, got 2"), (2, 2, "expected 2^2 = 4 cells, got 2")],
+)
+def test_grid_coloring_count_mismatch_names_n_to_the_d(d, n, want):
+    with pytest.raises(ColoringFormatError) as err:
+        GridColoring(d, n, 2, (0, 1))
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (5, 1), (1, 2), (3, 2), (2, 3)])
+def test_count_checks_accept_n_to_the_d_cells(d, n):
+    # n = 1 and small powers take the exact comparison
+    text = f"{d} {n} 1\n" + " ".join("0" * n**d)
+    assert parse_coloring(text).cells == (0,) * n**d
+    assert GridColoring(d, n, 1, (0,) * n**d).cells == (0,) * n**d
+
+
 def test_parse_non_integer_token_reports_line():
     with pytest.raises(ColoringFormatError) as err:
         parse_coloring("2 2 2\n0 0\nx 1")

@@ -4,6 +4,7 @@ and the end-to-end audit."""
 import dataclasses
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from cubecolor.chains import (
     lattice_cells,
     modulo_boundary,
     union_normalize,
-    union_volume,
 )
 from cubecolor.gridcolor import parse_coloring
 from cubecolor.nervecontract import (
@@ -106,7 +106,6 @@ def partition_of(boxes, d) -> ShiftedPartition:
         d=d,
         n=1,
         delta=F(0),
-        level_offsets={},
         cells=[PartitionCell(b, (0,) * d) for b in cells],
         den=den,
     )
@@ -157,7 +156,6 @@ def test_unshifted_grid_fails_genericity(d):
         d=d,
         n=2,
         delta=F(1, 32),
-        level_offsets={lvl: F(0) for lvl in range(2, d + 1)},
         cells=cells,
         den=2,
     )
@@ -294,7 +292,7 @@ def test_nerve_two_parts_one_edge():
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
     nrv = nerve(p, parts)
     assert nrv.simplices[1] == [(0, 1)]
-    assert (0, 1) in nrv and (1, 0) in nrv  # membership ignores order
+    assert (0, 1) in nrv.faces
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -394,7 +392,7 @@ def test_nerve_matches_region_product_oracle_on_the_unshifted_grid(d, n):
         PartitionCell(BoxCell([(c, c + 1) for c in coords]), coords)
         for coords in product(range(n), repeat=d)
     ]
-    p = ShiftedPartition(d=d, n=n, delta=F(0), level_offsets={}, cells=cells, den=n)
+    p = ShiftedPartition(d=d, n=n, delta=F(0), cells=cells, den=n)
     for colors in range(2, 5):
         for seed in range(3):
             parts = mono_parts(p, random_coloring(d, n, colors, seed))
@@ -468,6 +466,12 @@ def oracle_face_chain(parts, simplex):
     return chain
 
 
+def union_volume(boxes, den):
+    """Measure of the union of same-dimension boxes over `den`, overlaps
+    counted once (each point counts 1)."""
+    return sum((F(b.volume(), den**b.k) for b in union_normalize(boxes)), F(0))
+
+
 @pytest.mark.parametrize(
     "d,n,colors",
     [(2, n, c) for n in (3, 4, 5) for c in (2, 3)] + [(3, 3, c) for c in (2, 3, 4)],
@@ -486,10 +490,9 @@ def test_nerve_faces_match_per_simplex_oracle(d, n, colors):
             assert list(got.terms.items()) == list(want.terms.items()), s
 
 
-def oracle_extensions(nrv, simplex):
-    """The cofaces as Nerve.extensions found them before the nerve pass
+def oracle_extensions(nrv, s):
+    """The cofaces of a simplex as they were found before the nerve pass
     recorded them: scan every simplex one vertex larger."""
-    s = tuple(sorted(simplex))
     return [t for t in nrv.simplices.get(len(s), []) if set(s) <= set(t)]
 
 
@@ -504,8 +507,7 @@ def test_nerve_extensions_match_scan_oracle(d, n, colors):
     for seed in range(2):
         nrv = nerve(p, mono_parts(p, random_coloring(d, n, colors, seed)))
         for s in (s for ss in nrv.simplices.values() for s in ss):
-            assert nrv.extensions(s) == oracle_extensions(nrv, s), s
-            assert nrv.extensions(reversed(s)) == nrv.extensions(s), s
+            assert nrv.cofaces.get(s, []) == oracle_extensions(nrv, s), s
 
 
 def test_face_chain_vertex_is_part_chain():
@@ -530,7 +532,6 @@ def test_face_chain_off_nerve_is_zero():
     g = parse_coloring("2 2 2\n0 1 1 0")
     parts = mono_parts(p, g)  # parts 0 and 2 are the separated diagonal
     nrv = nerve(p, parts)
-    assert (0, 2) not in nrv
     assert (0, 2) not in nrv.faces
     assert oracle_face_chain(parts, (0, 2)).is_zero()
 
@@ -546,10 +547,60 @@ def test_face_overlap_is_an_identity_error():
         nerve(p, [a, b])
 
 
+def old_face_overlaps(kept, den):
+    """Oracle: the overlap verdict of `_face` before it read contacts, the
+    mod-2 chain's volume against the volume of the union."""
+    chain = RectChain.make(kept[0].d, kept[0].k, MOD2, [(b, 1) for b in kept], den)
+    return chain.volume() != union_volume(kept, den)
+
+
+def face_overlaps(simplex, pieces, den):
+    try:
+        _face(simplex, pieces, den)
+    except IdentityError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=box_families())
+def test_face_overlap_verdict_matches_union_volume_oracle(data, p):
+    pieces = [pc.box for pc in p.cells]
+    target = data.draw(st.sampled_from(sorted({b.k for b in pieces})))
+    simplex = tuple(range(p.d - target + 1))
+    kept = [b for b in pieces if b.k == target]
+    got = face_overlaps(simplex, pieces, p.den)
+    # a pair overlaps exactly when the pieces' volumes add up to more
+    # than their union's
+    total = F(sum(b.volume() for b in kept), p.den**target)
+    assert got == (total != union_volume(kept, p.den))
+    # the old verdict raised on a subset: mod 2, an overlap covered an odd
+    # number of times keeps its volume
+    assert got or not old_face_overlaps(kept, p.den)
+    # the same set without coplanar overlaps passes both, with one chain
+    disjoint = union_normalize(kept)
+    assert not face_overlaps(simplex, disjoint, p.den)
+    assert not old_face_overlaps(disjoint, p.den)
+    if not got:
+        want = RectChain.make(p.d, target, MOD2, [(b, 1) for b in disjoint], p.den)
+        assert _face(simplex, pieces, p.den) == want
+
+
+def test_face_raises_on_an_overlap_that_mod_2_keeps():
+    # the corner square lies in all three pieces, an odd number, so the
+    # mod-2 chain keeps the whole L and its volume is the union's
+    den, kept = lattice_cells(
+        [((0, 1), (0, "1/2")), ((0, "1/2"), (0, 1)), ((0, "1/2"), (0, "1/2"))]
+    )
+    assert not old_face_overlaps(kept, den)
+    with pytest.raises(IdentityError, match=r"\(0,\)"):
+        _face((0,), kept, den)
+
+
 def eq2_residual(nrv, simplex):
     lhs = boundary(nrv.faces[simplex], relative=True)
     rhs = RectChain.zero(lhs.d, lhs.k, MOD2)
-    for t in nrv.extensions(simplex):
+    for t in nrv.cofaces.get(simplex, []):
         rhs = rhs + nrv.faces[t]
     return lhs - modulo_boundary(rhs)
 
@@ -581,16 +632,14 @@ def test_boundary_decomposition_three_colors():
 def test_contraction_empty_when_no_edges():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 1\n0 0 0 0"))
-    fam = contraction(nerve(p, parts))
-    assert fam.fillings == {}
+    assert contraction(nerve(p, parts)) == {}
 
 
 def test_contraction_half_half():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
     nrv = nerve(p, parts)
-    fam = contraction(nrv)
-    f = fam.get((0, 1))
+    f = contraction(nrv)[(0, 1)]
     # filling the interface recovers the right-hand region exactly
     assert f == parts[1].chain()
     residual = boundary(f, relative=True) - modulo_boundary(nrv.faces[(0, 1)])
@@ -602,15 +651,44 @@ def test_contraction_relation_random(seed):
     p = build_shifted_partition(2, 4, F(1, 64))
     parts = mono_parts(p, random_coloring(2, 4, 2, seed))
     nrv = nerve(p, parts)
-    fam = contraction(nrv)
-    for s, f in fam.fillings.items():
+    fillings = contraction(nrv)
+    for s, f in fillings.items():
         rhs = nrv.faces[s]
-        for t in nrv.extensions(s):
-            rhs = rhs + fam.fillings[t]
+        for t in nrv.cofaces.get(s, []):
+            rhs = rhs + fillings[t]
         assert boundary(f, relative=True) == modulo_boundary(rhs)
 
 
 # ---------------------------------------------------------------- audit
+
+
+def per_part_S_table(parts, nrv, fillings, m):
+    """Oracle: S(i0, k) as the audit summed it before it read the
+    fillings once, scanning the k-simplices for each part."""
+    table = {}
+    for p in parts:
+        for k in range(1, m + 2):
+            tot = F(0)
+            for s in nrv.simplices.get(k, []):
+                if p.id in s:
+                    tot += fillings[s].volume()
+            table[(p.id, k)] = tot * factorial(k)
+    return table
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+def test_S_table_matches_per_part_scan(d, n):
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    for colors in range(2, d + 2):
+        for seed in range(2):
+            parts = mono_parts(p, random_coloring(d, n, colors, seed))
+            nrv = nerve(p, parts, max_multiplicity=colors)
+            fillings = contraction(nrv)
+            # m below the nerve's depth: the deeper simplices are left out
+            for m in range(colors):
+                rep = assemble_and_audit(parts, nrv, fillings, n=n, m=m, check_skeleton=False)
+                want = per_part_S_table(parts, nrv, fillings, m)
+                assert list(rep.S_table.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("text", ["2 2 4\n0 1 2 3", "1 3 3\n0 1 2"])
@@ -658,30 +736,29 @@ def test_audit_flags_engineered_failure():
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 2\n0 1 0 1"))
     nrv = nerve(p, parts)
-    fam = contraction(nrv)
+    fillings = contraction(nrv)
     den, cells = lattice_cells([(("1/4", "1/2"), "1/4")])
     bogus = RectChain.make(2, 1, MOD2, [(cells[0], 1)], den)
     bad = dataclasses.replace(nrv, faces={**nrv.faces, (0, 1): bogus})
-    rep = assemble_and_audit(parts, bad, fam, n=2, m=1)
+    rep = assemble_and_audit(parts, bad, fillings, n=2, m=1)
     assert not rep.ok
     assert not rep.eq2_ok
     assert any("simplex (0, 1)" in msg for msg in rep.failures)
 
 
-def comparing_audit_failures(nrv, family, d):
+def comparing_audit_failures(nrv, fillings, d):
     """The eq2 and eq3 failures as the audit found them before each check
     became one sum: the relative boundary compared with the right-hand
     side summed on its own."""
     out = []
     for k in range(nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
-            rhs = RectChain.sum(d, d - k - 1, MOD2, (nrv.faces[t] for t in nrv.extensions(s)))
+            rhs = RectChain.sum(d, d - k - 1, MOD2, (nrv.faces[t] for t in nrv.cofaces.get(s, [])))
             if boundary(nrv.faces[s], relative=True) != modulo_boundary(rhs):
                 out.append(f"boundary decomposition fails at simplex {s}")
-    for s, f_chain in family.fillings.items():
-        rhs = RectChain.sum(
-            d, d - len(s) + 1, MOD2, [nrv.faces[s], *(family.fillings[t] for t in nrv.extensions(s))]
-        )
+    for s, f_chain in fillings.items():
+        cofaces = nrv.cofaces.get(s, [])
+        rhs = RectChain.sum(d, d - len(s) + 1, MOD2, [nrv.faces[s], *(fillings[t] for t in cofaces)])
         if boundary(f_chain, relative=True) != modulo_boundary(rhs):
             out.append(f"contraction relation fails at simplex {s}")
     return out
@@ -692,21 +769,20 @@ def test_eq2_eq3_failures_match_the_comparing_audit(d, n, seed):
     p = build_shifted_partition(d, n, F(1, 16 * n))
     parts = mono_parts(p, random_coloring(d, n, 3, seed))
     nrv = nerve(p, parts)
-    fam = contraction(nrv)
+    fillings = contraction(nrv)
     # swap the faces and the fillings of the first two edges: the checks
     # at both edges, and at the simplices next to them, see wrong chains
     a, b = nrv.simplices[1][:2]
     faces = {**nrv.faces, a: nrv.faces[b], b: nrv.faces[a]}
-    fillings = {**fam.fillings, a: fam.fillings[b], b: fam.fillings[a]}
     variants = [
-        (nrv, fam),
-        (dataclasses.replace(nrv, faces=faces), fam),
-        (nrv, dataclasses.replace(fam, fillings=fillings)),
+        (nrv, fillings),
+        (dataclasses.replace(nrv, faces=faces), fillings),
+        (nrv, {**fillings, a: fillings[b], b: fillings[a]}),
     ]
-    for corrupted, (bad_nrv, bad_fam) in enumerate(variants):
-        rep = assemble_and_audit(parts, bad_nrv, bad_fam, n=n, m=2, check_skeleton=False)
+    for corrupted, (bad_nrv, bad_fillings) in enumerate(variants):
+        rep = assemble_and_audit(parts, bad_nrv, bad_fillings, n=n, m=2, check_skeleton=False)
         got = [f for f in rep.failures if "boundary decomposition" in f or "relation fails" in f]
-        assert got == comparing_audit_failures(bad_nrv, bad_fam, d)
+        assert got == comparing_audit_failures(bad_nrv, bad_fillings, d)
         assert bool(got) == bool(corrupted)
 
 
@@ -714,7 +790,7 @@ def test_pipeline_cells_hold_ints():
     # corners are numerators over a denominator: no Fraction reaches a cell
     p = build_shifted_partition(3, 3, DELTA[3])
     nrv = nerve(p, mono_parts(p, random_coloring(3, 3, 3, 1)))
-    chains = [*nrv.faces.values(), *contraction(nrv).fillings.values()]
+    chains = [*nrv.faces.values(), *contraction(nrv).values()]
     boxes = [pc.box for pc in p.cells] + [b for c in chains for b in c.terms]
     assert all(type(v) is int for b in boxes for ext in b.extents for v in ext)
     # every denominator is the partition's, doubled by fill where it cut
@@ -732,12 +808,12 @@ def test_every_X_is_zero_or_the_cube():
     g = random_coloring(2, 4, 2, 3)
     parts = mono_parts(p, g)
     nrv = nerve(p, parts)
-    fam = contraction(nrv)
+    fillings = contraction(nrv)
     cube = fundamental_chain(2)
     for pt in parts:
         x = pt.chain()
-        for t in nrv.extensions((pt.id,)):
-            x = x + fam.fillings[t]
+        for t in nrv.cofaces.get((pt.id,), []):
+            x = x + fillings[t]
         assert x.is_zero() or x == cube
 
 
