@@ -21,9 +21,9 @@ Conventions used throughout:
   support lies inside a facet {x_a = 0} or {x_a = 1} are discarded.
 * Chains are kept canonical: within one affine plane no two stored
   cells overlap on a set of positive k-volume, and adjacent cells with
-  equal coefficients are merged.  Canonical forms are not unique across
-  different decompositions of the same set, so equality of chains is
-  decided by checking that the difference cancels to the empty chain.
+  equal coefficients are merged.  The cells do not depend on how a chain
+  was grouped or summed, only their order does, and equality of chains
+  is decided by checking that the difference cancels to the empty chain.
 * Chains over different denominators combine over their lcm.  Rescaling
   the lattice maps cells in an order-preserving way, so it never changes
   a canonical form, a comparison or a choice made by `fill`.
@@ -49,6 +49,7 @@ from typing import Iterable, Iterator, Sequence
 MOD2 = "mod2"
 INTEGER = "int"
 _RINGS = (MOD2, INTEGER)
+_UNION = "union"  # internal to union_normalize: an atom counts once however often covered
 
 
 class ChainError(ValueError):
@@ -111,7 +112,7 @@ class BoxCell:
 
     def plane_key(self):
         """Fixed coordinates, None on interval axes; identifies the affine plane."""
-        return tuple(None if lo < hi else lo for lo, hi in self.extents)
+        return tuple([None if lo < hi else lo for lo, hi in self.extents])
 
     def volume(self) -> int:
         """The k-volume in lattice units: the true volume times den^k."""
@@ -194,59 +195,67 @@ def contacts(boxes: Sequence[BoxCell]) -> list[tuple[int, int, BoxCell]]:
 def _reduce_coef(coef: int, ring: str) -> int:
     if ring == MOD2:
         return coef % 2
+    if ring == _UNION:
+        return min(coef, 1)  # covered or not
     return coef
 
 
-def _split_planes(raw: Iterable[tuple[BoxCell, int]]):
-    """Group cells by affine plane and cut each group on its breakpoints.
+def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
+    """Cut one plane's cells on its breakpoints, sum and reduce their coefficients
+    on each atom (a (lo, hi) pair per free axis) and yield the merged cells."""
+    free = [a for a, v in enumerate(key) if v is None]
+    cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free]
+    segments = [list(zip(pts, pts[1:])) for pts in cuts]
+    ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
+    atoms: dict[tuple, int] = {}
+    for c, coef in members:
+        per_axis = []
+        for a, segs, rank in zip(free, segments, ranks):
+            lo, hi = c.extents[a]
+            per_axis.append(segs[rank[lo] : rank[hi]])
+        for combo in itertools.product(*per_axis):
+            atoms[combo] = atoms.get(combo, 0) + coef
+    atoms = {e: cf for e, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items()) if cf}
+    for ext, coef in _merge_atoms(atoms, len(free)).items():
+        full = [(v, v) for v in key]
+        for a, e in zip(free, ext):
+            full[a] = e
+        yield BoxCell._from_valid(tuple(full)), coef
 
-    Yields (plane key, free axes, atoms) per plane.  Inside a plane every
-    cell is split along the group's breakpoints on each free axis; atoms
-    maps each elementary box, one (lo, hi) pair per free axis, to the
-    summed coefficient of the cells covering it.  A plane with no free
-    axis (a point) has the single atom ().
+
+def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, int]:
+    """Resolve coplanar overlaps and merge adjacent equal-coefficient cells.
+
+    One pass checks that every cell is a k-cell in dimension d (zero
+    coefficients included), reduces its coefficient and groups the nonzero
+    ones by affine plane, in order of first appearance.  On each plane the
+    coefficients of identical cells are summed.  A plane left with one
+    nonzero cell passes through, as a lone box split on any grid merges
+    back to itself; otherwise `_merge_plane` runs over all its cells.
     """
     groups: dict[tuple, list[tuple[BoxCell, int]]] = {}
     for c, coef in raw:
-        groups.setdefault(c.plane_key(), []).append((c, coef))
-    for key, members in groups.items():
-        free = [a for a, v in enumerate(key) if v is None]
-        cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free]
-        segments = [list(zip(pts, pts[1:])) for pts in cuts]
-        ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
-        atoms: dict[tuple, int] = {}
-        for c, coef in members:
-            per_axis = []
-            for a, segs, rank in zip(free, segments, ranks):
-                lo, hi = c.extents[a]
-                per_axis.append(segs[rank[lo] : rank[hi]])
-            for combo in itertools.product(*per_axis):
-                atoms[combo] = atoms.get(combo, 0) + coef
-        yield key, free, atoms
-
-
-def _rebuild(key: tuple, free: list[int], ext: tuple) -> BoxCell:
-    """The cell on the plane `key` with extent ext[pos] on free[pos]."""
-    full = [(v, v) for v in key]
-    for a, e in zip(free, ext):
-        full[a] = e
-    return BoxCell._from_valid(tuple(full))
-
-
-def _canonical_terms(ring: str, raw: Iterable[tuple[BoxCell, int]]) -> dict[BoxCell, int]:
-    """Resolve coplanar overlaps and merge adjacent equal-coefficient cells:
-    coefficients are summed pointwise on each plane's atoms, then maximal
-    runs are re-merged axis by axis."""
-    reduced = ((c, _reduce_coef(coef, ring)) for c, coef in raw)
+        key = c.plane_key()
+        if len(key) != d:
+            raise ChainError(f"cell dimension {len(key)} does not match d={d}")
+        if key.count(None) != k:
+            raise ChainError(f"cell {c} has dimension {key.count(None)}, expected {k}")
+        coef = _reduce_coef(coef, ring)
+        if coef:
+            groups.setdefault(key, []).append((c, coef))
     out: dict[BoxCell, int] = {}
-    for key, free, atoms in _split_planes((c, cf) for c, cf in reduced if cf):
-        atoms = {
-            ext: cf
-            for ext, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items())
-            if cf
-        }
-        for ext, coef in _merge_atoms(atoms, len(free)).items():
-            out[_rebuild(key, free, ext)] = coef
+    for key, members in groups.items():
+        if len(members) > 1:
+            summed: dict[BoxCell, int] = {}
+            for c, cf in members:
+                summed[c] = summed.get(c, 0) + cf
+            live = [(c, cf) for c, cf in summed.items() if _reduce_coef(cf, ring)]
+            if len(live) > 1:
+                out.update(_merge_plane(ring, key, members))
+                continue
+            members = live
+        for c, cf in members:  # at most one
+            out[c] = _reduce_coef(cf, ring)
     return out
 
 
@@ -293,14 +302,7 @@ class RectChain:
     def make(d: int, k: int, ring: str, raw: Iterable, den: int) -> "RectChain":
         if ring not in _RINGS:
             raise ChainError(f"unknown coefficient ring {ring!r}")
-        filtered = []
-        for c, coef in raw:
-            if c.d != d:
-                raise ChainError(f"cell dimension {c.d} does not match d={d}")
-            if c.k != k:
-                raise ChainError(f"cell {c} has dimension {c.k}, expected {k}")
-            filtered.append((c, coef))
-        return RectChain(d, k, ring, _canonical_terms(ring, filtered), den)
+        return RectChain(d, k, ring, _canonical_terms(ring, raw, d, k), den)
 
     @staticmethod
     def sum(d: int, k: int, ring: str, chains: Iterable["RectChain"]) -> "RectChain":
@@ -404,15 +406,15 @@ def boundary(c: RectChain, relative: bool = False) -> RectChain:
         return RectChain.zero(c.d, 0, c.ring)
     raw = []
     for b, coef in c.terms.items():
+        if relative and b.in_cube_boundary(c.den):
+            continue  # with all its faces; other cells lose only faces fixed at 0 or 1
         for p, axis in enumerate(b.interval_axes):
             lo, hi = b.extents[axis]
             sign = -1 if p % 2 else 1
-            top = b.replace(axis, hi, hi)
-            bot = b.replace(axis, lo, lo)
-            for face, s in ((top, sign), (bot, -sign)):
-                if relative and face.in_cube_boundary(c.den):
-                    continue
-                raw.append((face, coef * s))
+            if not (relative and hi == c.den):
+                raw.append((b.replace(axis, hi, hi), coef * sign))
+            if not (relative and lo == 0):
+                raw.append((b.replace(axis, lo, lo), -coef * sign))
     return RectChain.make(c.d, c.k - 1, c.ring, raw, c.den)
 
 
@@ -619,11 +621,9 @@ def random_relative_cycle(
 def union_normalize(boxes: Iterable[BoxCell]) -> list[BoxCell]:
     """Rewrite a family of same-dimension boxes as non-overlapping boxes
     covering the same set (presence semantics, not mod-2 addition)."""
-    out: list[BoxCell] = []
-    for key, free, atoms in _split_planes((b, 1) for b in boxes):
-        merged = _merge_atoms(dict.fromkeys(atoms, 1), len(free))
-        out.extend(_rebuild(key, free, ext) for ext in merged)
-    return out
+    boxes = list(boxes)
+    d, k = (boxes[0].d, boxes[0].k) if boxes else (0, 0)
+    return list(_canonical_terms(_UNION, ((b, 1) for b in boxes), d, k))
 
 
 def dumps_chain(c: RectChain) -> str:

@@ -12,6 +12,7 @@ human-facing output and 0-based in code.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,6 +72,20 @@ class GridColoring:
         return header + " ".join(str(c) for c in self.cells) + "\n"
 
 
+_SHOWN = 20  # characters of a bad token an error message echoes
+
+
+def _bad_int(tok: str, what: str, line: int) -> ColoringFormatError:
+    """The error for a token that `int` refused.  A well-formed integer is
+    refused only for having more digits than the interpreter converts (4300
+    by default), so it is reported as too long; either way at most _SHOWN
+    characters of the token are echoed."""
+    shown = repr(tok) if len(tok) <= _SHOWN else repr(tok[:_SHOWN]) + "..."
+    if re.fullmatch(r"[+-]?\d+(_\d+)*", tok):
+        return ColoringFormatError(f"{what} {shown} is too long ({len(tok)} characters)", line)
+    return ColoringFormatError(f"non-integer {what} {shown}", line)
+
+
 def parse_coloring(text: str) -> GridColoring:
     """Parse the coloring file format: "d n num_colors" then n^d colors."""
     tokens: list[tuple[str, int]] = []
@@ -85,7 +100,7 @@ def parse_coloring(text: str) -> GridColoring:
         try:
             return int(tok)
         except ValueError:
-            raise ColoringFormatError(f"non-integer {what} {tok!r}", ln) from None
+            raise _bad_int(tok, what, ln) from None
 
     d = as_int(0, "dimension")
     n = as_int(1, "subdivision count")
@@ -100,7 +115,7 @@ def parse_coloring(text: str) -> GridColoring:
         try:
             c = int(tok)
         except ValueError:
-            raise ColoringFormatError(f"non-integer color {tok!r}", ln) from None
+            raise _bad_int(tok, "color", ln) from None
         if not 0 <= c < num_colors:
             raise ColoringFormatError(f"color {c} out of range [0, {num_colors})", ln)
         cells.append(c)

@@ -347,8 +347,8 @@ def contraction(nrv: Nerve) -> dict[tuple[int, ...], RectChain]:
     for k in range(nrv.max_dim, 0, -1):
         for s in nrv.simplices.get(k, []):
             z = nrv.faces[s]
-            # summed pairwise on purpose: fill picks its slabs from the
-            # canonical decomposition, and that depends on the grouping
+            # summed pairwise: one RectChain.sum gives the same cells, but
+            # in another order, and the fillings' term order follows it
             for t in nrv.cofaces.get(s, []):
                 z = z + fillings[t]
             fillings[s] = fill(z)
@@ -463,8 +463,8 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
 
 
 def _sum(d: int, k: int, chains) -> RectChain:
-    """The mod-2 sum of k-chains in one canonicalization.  Its decomposition
-    can differ from a pairwise sum's, so use it only where the sum is
+    """The mod-2 sum of k-chains in one canonicalization.  It has the cells
+    of a pairwise sum, maybe in another order; it serves where the sum is
     compared, tested for being a cycle, or measured."""
     return RectChain.sum(d, k, MOD2, chains)
 

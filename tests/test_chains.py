@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubecolor.chains import (
@@ -288,6 +288,21 @@ _CORNERS = sorted({F(i, q) for q in (1, 2, 3, 4) for i in range(q + 1)})
 _FIXED = [F(0), F(1, 2), F(1)]
 
 
+def draw_box(draw, d, planes):
+    """A box as Fraction (lo, hi) pairs, free on the axes of one of `planes`."""
+    free = draw(st.sampled_from(planes))
+    ext = []
+    for a in range(d):
+        if a in free:
+            lo, hi = draw(st.lists(st.sampled_from(_CORNERS), min_size=2,
+                                   max_size=2, unique=True).map(sorted))
+            ext.append((lo, hi))
+        else:
+            v = draw(st.sampled_from(_FIXED))
+            ext.append((v, v))
+    return tuple(ext)
+
+
 @st.composite
 def same_dim_family(draw):
     """(d, k, boxes): boxes of one dimension k in [0,1]^d as Fraction
@@ -295,33 +310,141 @@ def same_dim_family(draw):
     d = draw(st.integers(1, 3))
     k = draw(st.integers(0, d))
     planes = list(itertools.combinations(range(d), k))
-    boxes = []
-    for _ in range(draw(st.integers(1, 6))):
-        free = draw(st.sampled_from(planes))
-        ext = []
-        for a in range(d):
-            if a in free:
-                lo, hi = draw(st.lists(st.sampled_from(_CORNERS), min_size=2,
-                                       max_size=2, unique=True).map(sorted))
-                ext.append((lo, hi))
-            else:
-                v = draw(st.sampled_from(_FIXED))
-                ext.append((v, v))
-        boxes.append(tuple(ext))
+    boxes = [draw_box(draw, d, planes) for _ in range(draw(st.integers(1, 6)))]
     boxes += draw(st.lists(st.sampled_from(boxes), max_size=3))  # duplicates
     return d, k, boxes
+
+
+@st.composite
+def repeated_box_terms(draw):
+    """(d, k, terms): (Fraction box, coefficient) pairs in which boxes
+    recur exactly, shuffled: lone boxes, duplicates, +c/-c pairs and even
+    multiplicities, alone on their plane or among other boxes."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    planes = list(itertools.combinations(range(d), k))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        box = draw_box(draw, d, planes)
+        coef = draw(st.integers(-3, 3))
+        copies = draw(st.sampled_from([[coef], [coef, coef], [coef, -coef], [coef] * 4]))
+        terms += [(box, cf) for cf in copies]
+    return d, k, draw(st.permutations(terms))
 
 
 @pytest.mark.parametrize("ring", [MOD2, INTEGER])
 @given(family=same_dim_family(), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_canonical_terms_matches_old_splitter(ring, family, data):
-    _, _, boxes = family
+    d, k, boxes = family
     coefs = data.draw(st.lists(st.integers(-3, 3), min_size=len(boxes), max_size=len(boxes)))
     den, cells = lattice_cells(boxes)
-    # same cells in the same order: fill's slab choice reads the term order
-    new = [(fractions_of(c, den), cf) for c, cf in _canonical_terms(ring, zip(cells, coefs)).items()]
+    # same cells in the same order, which later sums and fillings inherit
+    terms = _canonical_terms(ring, zip(cells, coefs), d, k)
+    new = [(fractions_of(c, den), cf) for c, cf in terms.items()]
     assert new == list(old_canonical_terms(ring, zip(boxes, coefs)).items())
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER])
+@given(family=repeated_box_terms())
+@settings(max_examples=200, deadline=None)
+def test_canonical_terms_matches_old_splitter_on_repeated_boxes(ring, family):
+    # planes that keep one nonzero box after identical boxes are summed
+    # skip the split and merge; output and order must not change
+    d, k, terms = family
+    den, cells = lattice_cells(box for box, _ in terms)
+    out = _canonical_terms(ring, zip(cells, (cf for _, cf in terms)), d, k)
+    new = [(fractions_of(c, den), cf) for c, cf in out.items()]
+    assert new == list(old_canonical_terms(ring, terms).items())
+
+
+def test_canonical_terms_lone_survivor_passes_through():
+    # B and -B cancel, leaving A alone on its plane: A comes out as given
+    den, (a, b, p) = lattice_cells([((0, "3/4"), "1/2"), (("1/4", 1), "1/2"), ((0, 1), "1/4")])
+    terms = [(a, 1), (b, 2), (p, 1), (b, -2)]
+    assert list(_canonical_terms(INTEGER, terms, 2, 1).items()) == [(a, 1), (p, 1)]
+    assert list(_canonical_terms(MOD2, terms, 2, 1).items()) == [(a, 1), (p, 1)]
+    assert _canonical_terms(INTEGER, [(a, 1), (a, -1)], 2, 1) == {}
+
+
+@pytest.mark.parametrize("ring,coef", [(MOD2, 0), (MOD2, 2), (MOD2, -4), (INTEGER, 0)])
+def test_make_checks_cells_whose_coefficient_vanishes(ring, coef):
+    # every cell is checked, also one that reduces to 0 and is dropped
+    good = (BoxCell([(0, 1), 0]), 1)
+    wrong_d = BoxCell([(0, 1), 0, 0])
+    wrong_k = BoxCell([(0, 1), (0, 1)])
+    with pytest.raises(ChainError, match="cell dimension 3 does not match d=2"):
+        RectChain.make(2, 1, ring, [good, (wrong_d, coef)], 1)
+    with pytest.raises(ChainError, match=r"has dimension 2, expected 1"):
+        RectChain.make(2, 1, ring, [good, (wrong_k, coef)], 1)
+    # the first bad cell decides the message
+    with pytest.raises(ChainError, match=r"has dimension 2, expected 1"):
+        RectChain.make(2, 1, ring, iter([(wrong_k, coef), (wrong_d, 1)]), 1)
+
+
+def test_union_normalize_needs_one_dimension():
+    _, boxes = lattice_cells([((0, 1), "1/2"), ((0, 1), (0, 1))])
+    assert union_normalize([]) == []
+    with pytest.raises(ChainError):
+        union_normalize(boxes)
+
+
+def old_relative_boundary(c):
+    """boundary(c, relative=True) as it was before the facet test moved to
+    the cell: every face is built, then dropped if it lies in a facet."""
+    raw = []
+    for b, coef in c.terms.items():
+        for p, axis in enumerate(b.interval_axes):
+            lo, hi = b.extents[axis]
+            sign = -1 if p % 2 else 1
+            for face, s in ((b.replace(axis, hi, hi), sign), (b.replace(axis, lo, lo), -sign)):
+                if not face.in_cube_boundary(c.den):
+                    raw.append((face, coef * s))
+    return RectChain.make(c.d, c.k - 1, c.ring, raw, c.den)
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER])
+@given(family=same_dim_family(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_relative_boundary_matches_per_face_test(ring, family, data):
+    # fixed coordinates 0 and 1 put whole cells inside facets, and corners
+    # 0 and 1 put single faces there
+    d, k, boxes = family
+    assume(k > 0)
+    coefs = data.draw(st.lists(st.integers(-3, 3), min_size=len(boxes), max_size=len(boxes)))
+    c = chain_from(d, k, ring, zip(boxes, coefs))
+    assert list(boundary(c, relative=True).terms.items()) == list(
+        old_relative_boundary(c).terms.items()
+    )
+
+
+def test_relative_boundary_of_cells_in_facets():
+    # a square in the facet x_3 = 0 contributes nothing; a square in the
+    # interior plane x_3 = 1/2 that reaches x_1 = 1 loses that one edge
+    c = chain_of(((0, "1/2"), (0, 1), 0), (("1/2", 1), ("1/4", "3/4"), "1/2"), d=3)
+    want = chain_of(("1/2", ("1/4", "3/4"), "1/2"), (("1/2", 1), "3/4", "1/2"),
+                    (("1/2", 1), "1/4", "1/2"), d=3)
+    assert boundary(c, relative=True) == want
+    assert list(boundary(c, relative=True).terms.items()) == list(
+        old_relative_boundary(c).terms.items()
+    )
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER])
+@given(family=same_dim_family(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_canonical_cells_do_not_depend_on_grouping(ring, family, data):
+    # (a + b) + c, one RectChain.sum and one make of all the raw cells give
+    # the same cells and coefficients; only the order of terms may differ
+    d, k, boxes = family
+    coefs = data.draw(st.lists(st.integers(-3, 3), min_size=len(boxes), max_size=len(boxes)))
+    i, j = sorted(data.draw(st.lists(st.integers(0, len(boxes)), min_size=2, max_size=2)))
+    terms = list(zip(boxes, coefs))
+    a, b, c = (chain_from(d, k, ring, part) for part in (terms[:i], terms[i:j], terms[j:]))
+    pairwise = (a + b) + c
+    once = RectChain.sum(d, k, ring, [a, b, c])
+    whole = chain_from(d, k, ring, terms).rescale(pairwise.den)
+    assert pairwise.terms == once.terms == whole.terms
 
 
 @pytest.mark.parametrize("ring", [MOD2, INTEGER])

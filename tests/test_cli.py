@@ -89,6 +89,29 @@ def test_analyze_huge_header_exit_2_at_once(tmp_path, capsys, header, power):
     assert err == f"error: line 2: expected {power} cell colors, got 2\n"
 
 
+@pytest.mark.parametrize(
+    "text,line,what",
+    [
+        ("2 {} 2\n0 1\n", 1, "subdivision count"),
+        ("2 2 2\n0 0 1 {}\n", 2, "color"),
+    ],
+)
+def test_analyze_overlong_integer_token_exit_2(tmp_path, capsys, text, line, what):
+    # int() refuses integer strings of more than 4300 digits; the token is
+    # reported as too long, not as non-integer, and echoed only in part
+    path = write_coloring(tmp_path, "long.txt", text.format("9" * 5000))
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert err == f"error: line {line}: {what} '{'9' * 20}'... is too long (5000 characters)\n"
+
+
+def test_analyze_overlong_non_integer_token_is_cut(tmp_path, capsys):
+    path = write_coloring(tmp_path, "long.txt", "2 2 2\n0 0 1 " + "x" * 5000 + "\n")
+    code, _, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert err == f"error: line 2: non-integer color '{'x' * 20}'...\n"
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/x.txt")
     assert code == 2

@@ -125,6 +125,22 @@ def test_parse_non_integer_token_reports_line():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "tok,message",
+    [
+        ("x", "line 2: non-integer color 'x'"),
+        ("1__0", "line 2: non-integer color '1__0'"),  # int() syntax, not length
+        ("x" * 21, f"line 2: non-integer color '{'x' * 20}'..."),
+        ("7" * 4301, f"line 2: color '{'7' * 20}'... is too long (4301 characters)"),
+        ("-" + "7" * 4400, f"line 2: color '-{'7' * 19}'... is too long (4401 characters)"),
+    ],
+)
+def test_parse_bad_color_token_message(tok, message):
+    with pytest.raises(ColoringFormatError) as err:
+        parse_coloring(f"2 2 2\n0 0 1 {tok}")
+    assert str(err.value) == message
+
+
 def test_text_roundtrip():
     g = parse_coloring("2 3 2\n0 1 0 1 0 1 0 1 0")
     assert parse_coloring(g.to_text()) == g
