@@ -177,7 +177,8 @@ def contacts(boxes: Sequence[BoxCell]) -> list[tuple[int, int, BoxCell]]:
 
     A sort-and-sweep by lower endpoint on the first axis: each box is
     tested only against the earlier ones whose interval there is still
-    open, and only boxes that meet are intersected.
+    open, and one loop over the axes intersects them, stopping at the
+    first empty axis.
     """
     keys = [b.extents for b in boxes]
     active: list[int] = []
@@ -186,8 +187,15 @@ def contacts(boxes: Sequence[BoxCell]) -> list[tuple[int, int, BoxCell]]:
         kj = keys[j]
         active = [i for i in active if keys[i][0][1] >= kj[0][0]]
         for i in active:
-            if all(lo <= hj and lj <= hi for (lo, hi), (lj, hj) in zip(keys[i], kj)):
-                out.append((min(i, j), max(i, j), boxes[i].intersect(boxes[j])))
+            ext = []
+            for (alo, ahi), (blo, bhi) in zip(keys[i], kj):
+                lo = alo if alo > blo else blo
+                hi = ahi if ahi < bhi else bhi
+                if lo > hi:
+                    break
+                ext.append((lo, hi))
+            else:
+                out.append((min(i, j), max(i, j), BoxCell._from_valid(tuple(ext))))
         active.append(j)
     return sorted(out, key=lambda t: t[:2])
 
@@ -201,22 +209,60 @@ def _reduce_coef(coef: int, ring: str) -> int:
 
 
 def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
-    """Cut one plane's cells on its breakpoints, sum and reduce their coefficients
-    on each atom (a (lo, hi) pair per free axis) and yield the merged cells."""
+    """Sum one plane's cells, reduce their coefficients and yield the merged
+    cells.  Only the free axes after the first are cut: on each row (one
+    segment per such axis) a sweep over the members' first-axis intervals
+    yields the runs that the first merge pass makes of the row's atoms
+    when all axes are cut.  That pass emits rows in the order of their
+    first surviving atom, and atoms arise member by member, first-axis
+    segment before row; so rows sort by the first member whose interval
+    holds a run, the first surviving point in it, then the row."""
     free = [a for a, v in enumerate(key) if v is None]
     cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free]
-    segments = [list(zip(pts, pts[1:])) for pts in cuts]
+    segments = [list(zip(pts, pts[1:])) for pts in cuts[1:]]
     ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
-    atoms: dict[tuple, int] = {}
-    for c, coef in members:
+    rows: dict[tuple, list] = {}
+    for m, (c, coef) in enumerate(members):
         per_axis = []
-        for a, segs, rank in zip(free, segments, ranks):
+        for a, segs, rank in zip(free[1:], segments, ranks[1:]):
             lo, hi = c.extents[a]
             per_axis.append(segs[rank[lo] : rank[hi]])
-        for combo in itertools.product(*per_axis):
-            atoms[combo] = atoms.get(combo, 0) + coef
-    atoms = {e: cf for e, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items()) if cf}
-    for ext, coef in _merge_atoms(atoms, len(free)).items():
+        span = (m, *c.extents[free[0]], coef)
+        for row in itertools.product(*per_axis):
+            rows.setdefault(row, []).append(span)
+    swept = []
+    for row, spans in rows.items():
+        if len(spans) == 1:  # one member: one run, no sweep
+            m, lo, hi, coef = spans[0]
+            runs = [(lo, hi, _reduce_coef(coef, ring))]
+            if runs[0][2]:
+                swept.append((m, lo, row, runs))
+            continue
+        steps: dict[int, int] = {}
+        for _, lo, hi, coef in spans:
+            steps[lo] = steps.get(lo, 0) + coef
+            steps[hi] = steps.get(hi, 0) - coef
+        marks = sorted(steps)
+        runs, total = [], 0
+        for lo, hi in zip(marks, marks[1:]):
+            total += steps[lo]
+            cf = _reduce_coef(total, ring)
+            if runs and runs[-1][1] == lo and runs[-1][2] == cf:
+                runs[-1] = (runs[-1][0], hi, cf)
+            elif cf:
+                runs.append((lo, hi, cf))
+        if runs:
+            first = ((m, max(lo, a)) for m, lo, hi, _ in spans
+                     for a, b, _ in runs if a < hi and lo < b)
+            swept.append((*next(first), row, runs))
+    swept.sort()  # rows differ, so the runs are never compared
+    # the runs are maximal, so with one free axis no later pass merges
+    rank = ranks[0]
+    changed = len(free) > 1 and any(
+        rank[hi] - rank[lo] > 1 for *_, runs in swept for lo, hi, _ in runs
+    )
+    boxes = {((lo, hi),) + row: cf for _, _, row, runs in swept for lo, hi, cf in runs}
+    for ext, coef in _merge_atoms(boxes, len(free), 1, changed).items():
         full = [(v, v) for v in key]
         for a, e in zip(free, ext):
             full[a] = e
@@ -259,22 +305,24 @@ def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, 
     return out
 
 
-def _merge_atoms(atoms: dict[tuple, int], nfree: int) -> dict[tuple, int]:
-    """Coalesce adjacent boxes with equal coefficients until stable."""
-    changed = True
-    while changed and len(atoms) > 1:
-        changed = False
-        for pos in range(nfree):
+def _merge_atoms(atoms: dict, nfree: int, start: int = 0, changed: bool = False) -> dict:
+    """Coalesce adjacent boxes with equal coefficients until stable, in rounds
+    of one pass per axis.  The first round starts at pass `start`, and
+    `changed` says whether its earlier passes merged anything."""
+    while len(atoms) > 1:
+        for pos in range(start, nfree):
             runs: dict[tuple, list] = {}
             for ext, coef in atoms.items():
-                rest = ext[:pos] + ext[pos + 1 :]
-                runs.setdefault(rest, []).append((ext[pos], coef))
+                runs.setdefault(ext[:pos] + ext[pos + 1 :], []).append((ext[pos], coef, ext))
             merged: dict[tuple, int] = {}
             for rest, pieces in runs.items():
-                pieces.sort()
-                acc_lo, acc_hi, acc_cf = pieces[0][0][0], pieces[0][0][1], pieces[0][1]
+                if len(pieces) == 1:
+                    merged[pieces[0][2]] = pieces[0][1]
+                    continue
+                pieces.sort()  # intervals differ, so the boxes are never compared
+                (acc_lo, acc_hi), acc_cf, _ = pieces[0]
                 done = []
-                for (lo, hi), cf in pieces[1:]:
+                for (lo, hi), cf, _ in pieces[1:]:
                     if lo == acc_hi and cf == acc_cf:
                         acc_hi = hi
                         changed = True
@@ -285,6 +333,9 @@ def _merge_atoms(atoms: dict[tuple, int], nfree: int) -> dict[tuple, int]:
                 for (lo, hi), cf in done:
                     merged[rest[:pos] + ((lo, hi),) + rest[pos:]] = cf
             atoms = merged
+        if not changed:
+            break
+        start, changed = 0, False
     return atoms
 
 

@@ -40,6 +40,7 @@ from .bounds import _rat, g_constant
 from .chains import (
     MOD2,
     BoxCell,
+    FillError,
     RectChain,
     boundary,
     contacts,
@@ -64,7 +65,7 @@ class MultiplicityError(ValueError):
     def __init__(self, simplex):
         self.simplex = simplex
         super().__init__(
-            f"parts {simplex} share a point: multiplicity {len(simplex)} "
+            f"nerve: parts {simplex} share a point: multiplicity {len(simplex)} "
             "exceeds the declared bound"
         )
 
@@ -135,26 +136,27 @@ class ShiftedPartition:
         den = self.den
         total = Fraction(sum(pc.box.volume() for pc in self.cells), den**self.d)
         if total != 1:
-            raise PartitionError(f"cells tile volume {total}, expected 1")
+            raise PartitionError(f"partition: cells tile volume {total}, expected 1")
         for i, j, x in self.contacts:
             if x.k == self.d:
                 raise PartitionError(
-                    f"cells overlap: {self.cells[i].box} and {self.cells[j].box}"
+                    f"partition: cells overlap: {self.cells[i].box} and {self.cells[j].box}"
                 )
         cap = (Fraction(1, self.n) + 2 * self.delta) * den
         for pc in self.cells:
             for a, (lo, hi) in enumerate(pc.box.extents):
                 length = hi - lo
                 if length > cap:
-                    raise PartitionError(f"cell {pc.box} too long on axis {a + 1}")
+                    raise PartitionError(f"partition: cell {pc.box} too long on axis {a + 1}")
                 if length * self.n != den and lo != 0 and hi != den:
                     raise PartitionError(
-                        f"interior cell {pc.box} has non-standard length on axis {a + 1}"
+                        f"partition: interior cell {pc.box} has non-standard length "
+                        f"on axis {a + 1}"
                     )
         mult = self.max_multiplicity()
         if mult > self.d + 1:
             raise PartitionError(
-                f"point multiplicity {mult} exceeds d+1 = {self.d + 1}; "
+                f"partition: point multiplicity {mult} exceeds d+1 = {self.d + 1}; "
                 "the offsets are not generic, pick another delta"
             )
 
@@ -169,9 +171,11 @@ def build_shifted_partition(d: int, n: int, delta) -> ShiftedPartition:
     of delta/p, so all lie over one denominator."""
     delta = Fraction(delta)
     if d < 1 or n < 1:
-        raise PartitionError("need d >= 1 and n >= 1")
+        raise PartitionError("partition: need d >= 1 and n >= 1")
     if not ZERO < delta < Fraction(1, 4 * n):
-        raise PartitionError(f"delta must lie strictly between 0 and 1/(4n), got {delta}")
+        raise PartitionError(
+            f"partition: delta must lie strictly between 0 and 1/(4n), got {delta}"
+        )
     primes = _first_primes_above(n, d)
     den = math.lcm(n, delta.denominator, *(delta.denominator * p for p in primes[1:]))
     # 1-based layering axis -> per-layer shift delta / p, over den
@@ -300,7 +304,9 @@ def _face(simplex: tuple[int, ...], pieces: list[BoxCell], den: int) -> RectChai
     if any(x.k == target for _, _, x in contacts(kept)):
         # distinct cell pairs never overlap on positive measure in a simple
         # partition; if they did, mod-2 addition would silently erase area
-        raise IdentityError(f"intersection pieces of {simplex} overlap with positive measure")
+        raise IdentityError(
+            f"nerve: intersection pieces of {simplex} overlap with positive measure"
+        )
     return RectChain.make(d, target, MOD2, [(b, 1) for b in kept], den)
 
 
@@ -341,8 +347,8 @@ def contraction(nrv: Nerve) -> dict[tuple[int, ...], RectChain]:
     """The filling F(s) of every nerve simplex s of dimension >= 1, with
     boundary(F(s)) = C(s) minus the sum of F over the cofaces of s, built
     by descending induction from the deepest intersections.  The argument
-    handed to the filling operator is checked to be a relative cycle (fill
-    raises otherwise)."""
+    handed to the filling operator is checked to be a relative cycle; when
+    it is not, eq2 fails at s and an IdentityError names s."""
     fillings: dict[tuple[int, ...], RectChain] = {}
     for k in range(nrv.max_dim, 0, -1):
         for s in nrv.simplices.get(k, []):
@@ -351,7 +357,10 @@ def contraction(nrv: Nerve) -> dict[tuple[int, ...], RectChain]:
             # in another order, and the fillings' term order follows it
             for t in nrv.cofaces.get(s, []):
                 z = z + fillings[t]
-            fillings[s] = fill(z)
+            try:
+                fillings[s] = fill(z)
+            except FillError as exc:
+                raise IdentityError(f"contraction: simplex {s}: {exc}") from exc
     return fillings
 
 

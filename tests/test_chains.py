@@ -21,7 +21,8 @@ from cubecolor.chains import (
     RectChain,
     SectionError,
     _canonical_terms,
-    _merge_atoms,
+    _UNION,
+    _merge_plane,
     _pick_slab,
     _reduce_coef,
     boundary,
@@ -212,6 +213,59 @@ def plane_key(box):
     return tuple(None if lo < hi else lo for lo, hi in box)
 
 
+def old_merge_atoms(atoms, nfree):
+    """The merge as it was before the plane merge swept rows: rounds of one
+    pass per axis over the full atom grid, until a round merges nothing."""
+    changed = True
+    while changed and len(atoms) > 1:
+        changed = False
+        for pos in range(nfree):
+            runs = {}
+            for ext, coef in atoms.items():
+                rest = ext[:pos] + ext[pos + 1 :]
+                runs.setdefault(rest, []).append((ext[pos], coef))
+            merged = {}
+            for rest, pieces in runs.items():
+                pieces.sort()
+                acc_lo, acc_hi, acc_cf = pieces[0][0][0], pieces[0][0][1], pieces[0][1]
+                done = []
+                for (lo, hi), cf in pieces[1:]:
+                    if lo == acc_hi and cf == acc_cf:
+                        acc_hi = hi
+                        changed = True
+                    else:
+                        done.append(((acc_lo, acc_hi), acc_cf))
+                        acc_lo, acc_hi, acc_cf = lo, hi, cf
+                done.append(((acc_lo, acc_hi), acc_cf))
+                for (lo, hi), cf in done:
+                    merged[rest[:pos] + ((lo, hi),) + rest[pos:]] = cf
+            atoms = merged
+    return atoms
+
+
+def old_merge_plane(ring, key, members):
+    """The plane merge as it was before it swept rows: every member is cut
+    on all of the plane's breakpoints and the atoms are merged."""
+    free = [a for a, v in enumerate(key) if v is None]
+    cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free]
+    segments = [list(zip(pts, pts[1:])) for pts in cuts]
+    ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
+    atoms = {}
+    for c, coef in members:
+        per_axis = []
+        for a, segs, rank in zip(free, segments, ranks):
+            lo, hi = c.extents[a]
+            per_axis.append(segs[rank[lo] : rank[hi]])
+        for combo in itertools.product(*per_axis):
+            atoms[combo] = atoms.get(combo, 0) + coef
+    atoms = {e: cf for e, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items()) if cf}
+    for ext, coef in old_merge_atoms(atoms, len(free)).items():
+        full = [(v, v) for v in key]
+        for a, e in zip(free, ext):
+            full[a] = e
+        yield BoxCell._from_valid(tuple(full)), coef
+
+
 def old_canonical_terms(ring, raw):
     """The canonicalization as it was before the plane splitter was shared
     with union_normalize, on boxes given as Fraction (lo, hi) pairs: the
@@ -245,7 +299,7 @@ def old_canonical_terms(ring, raw):
             for ext, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items())
             if cf
         }
-        for ext, coef in _merge_atoms(atoms, len(free)).items():
+        for ext, coef in old_merge_atoms(atoms, len(free)).items():
             full = [(v, v) for v in key]
             for pos, a in enumerate(free):
                 full[a] = ext[pos]
@@ -274,7 +328,7 @@ def old_union_normalize(boxes):
                 pts = [p for p in cuts[a] if lo <= p <= hi]
                 per_axis.append(list(zip(pts, pts[1:])))
             atoms.update(itertools.product(*per_axis))
-        for ext in _merge_atoms({combo: 1 for combo in atoms}, len(free)):
+        for ext in old_merge_atoms({combo: 1 for combo in atoms}, len(free)):
             full = [(v, v) for v in key]
             for pos, a in enumerate(free):
                 full[a] = ext[pos]
@@ -466,6 +520,82 @@ def test_union_normalize_matches_old_splitter(family):
     new = [fractions_of(c, den) for c in union_normalize(cells)]
     assert len(new) == len(set(new))
     assert set(new) == set(old_union_normalize(boxes))
+
+
+@st.composite
+def plane_members(draw, ring):
+    """(key, members): cells of one plane with k = 1..3 free axes in
+    [0,1]^3 over den 12, as `_canonical_terms` hands them to `_merge_plane`:
+    tilings of a sub-grid by abutting boxes (as a part's cells lie), boxes
+    that overlap, +c/-c pairs that empty whole rows, and a -c copy of a
+    box's first-axis prefix on some of its rows, which cancels those rows'
+    first atoms while later atoms survive; possibly shuffled.  Coefficients
+    come reduced, as `_canonical_terms` passes them: mod 2 and in the union
+    ring a pair covers twice instead of cancelling."""
+    k = draw(st.integers(1, 3))
+    free = draw(st.sampled_from(list(itertools.combinations(range(3), k))))
+    key = tuple(None if a in free else draw(st.sampled_from([0, 6, 12])) for a in range(3))
+
+    def interval(lo=0, hi=12):
+        return tuple(sorted(draw(st.lists(st.integers(lo, hi), min_size=2, max_size=2,
+                                          unique=True))))
+
+    def cell(spans):
+        spans = iter(spans)
+        return BoxCell._from_valid(tuple(next(spans) if v is None else (v, v) for v in key))
+
+    def coef():
+        if ring == _UNION:
+            return 1
+        return _reduce_coef(draw(st.integers(-3, 3).filter(bool)), ring) or 1
+
+    members = []
+    for move in draw(st.lists(st.sampled_from(["tile", "box", "cancel", "prefix"]),
+                              min_size=1, max_size=4)):
+        spans = [interval() for _ in free]
+        if move == "tile":  # split the box into abutting pieces along each axis
+            cuts = [sorted({lo, hi, *draw(st.lists(st.integers(lo, hi), max_size=3))})
+                    for lo, hi in spans]
+            same = draw(st.booleans())
+            c = coef()
+            for combo in itertools.product(*(list(zip(p, p[1:])) for p in cuts)):
+                members.append((cell(combo), c if same else coef()))
+        elif move == "box":
+            members.append((cell(spans), coef()))
+        else:
+            c = coef()
+            members.append((cell(spans), c))
+            neg = c if ring == _UNION else _reduce_coef(-c, ring)
+            if move == "cancel":
+                members.append((cell(spans), neg))
+            else:
+                (lo, hi), *rest = spans
+                mid = draw(st.integers(lo + 1, hi))
+                members.append((cell([(lo, mid), *(interval(*r) for r in rest)]), neg))
+    members += draw(st.lists(st.sampled_from(members), max_size=2))  # duplicates
+    if draw(st.booleans()):
+        members = draw(st.permutations(members))
+    return key, members
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER, _UNION])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_merge_plane_matches_atom_grid(ring, data):
+    # same cells, same coefficients, same order as cutting on all breakpoints
+    key, members = data.draw(plane_members(ring))
+    assert list(_merge_plane(ring, key, members)) == list(old_merge_plane(ring, key, members))
+
+
+def test_merge_plane_orders_rows_by_first_surviving_atom():
+    # A = [0,4] x [0,2] is cut into atoms first-axis segment by segment,
+    # each over rows [0,1] then [1,2]; B = -[0,2] x [0,1] cancels the first
+    # atoms of row [0,1], so row [1,2] now has the first surviving atom
+    a = BoxCell([(0, 4), (0, 2)])
+    b = BoxCell([(0, 2), (0, 1)])
+    got = list(_merge_plane(INTEGER, (None, None), [(a, 1), (b, -1)]))
+    assert got == [(BoxCell([(0, 4), (1, 2)]), 1), (BoxCell([(2, 4), (0, 1)]), 1)]
+    assert got == list(old_merge_plane(INTEGER, (None, None), [(a, 1), (b, -1)]))
 
 
 @st.composite

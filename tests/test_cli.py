@@ -2,13 +2,16 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from importlib import resources
 from pathlib import Path
 
-from cubecolor import cli
+from cubecolor import cli, nervecontract
+from cubecolor.chains import MOD2, BoxCell, RectChain, lattice_cells
+from cubecolor.nervecontract import Part, PartitionCell, ShiftedPartition
 from cubecolor.search import stripe_construction
 
 DATA = Path(__file__).parent / "data"
@@ -181,13 +184,16 @@ def test_certify_too_many_colors_exit_2(tmp_path, capsys, header, cells):
         "certify_d3_n5_c3",
         "certify_d3_n4_c4",
         "certify_d3_n8_c4",
+        "certify_d3_n8_c2",
     ],
 )
 def test_certify_d3_matches_stored_report(capsys, name):
     # stored reports: a silent change in S_table or X_volumes fails here.
     # n4_c4 has d+1 colors, so its nerve has 3-simplices: their eq2
     # right-hand side is empty, and triple intersections have cofaces.
-    # n8_c4 is random_coloring(3, 8, 4, 1), the largest grid certify accepts
+    # n8_c4 is random_coloring(3, 8, 4, 1), the largest grid certify accepts;
+    # n8_c2 is random_coloring(3, 8, 2, 1), whose 319-cell part puts one
+    # plane of many abutting boxes through the chain merge
     code, out, _ = run(capsys, "certify", str(DATA / f"{name}.txt"))
     assert code == 0
     assert json.loads(out)["failures"] == []
@@ -209,6 +215,61 @@ def test_certify_bad_delta_exit_2(tmp_path, capsys, delta):
     assert code == 2
     assert out == ""
     assert f"certify: bad --delta {delta!r}" in err
+
+
+# A failure names its stage: bad input exits 2 with "error: <stage>:", a
+# failed identity exits 1 with "identity failure: <stage>:".
+
+STRIPES = "2 2 2\n0 0 1 1\n"  # two parts and one wall between them
+
+
+def test_certify_partition_failure_names_the_stage(tmp_path, capsys):
+    path = write_coloring(tmp_path, "h.txt", STRIPES)
+    code, out, err = run(capsys, "certify", path, "--delta", "1/4")  # not < 1/(4n)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: partition: delta must lie strictly between")
+
+
+def test_certify_multiplicity_failure_names_the_stage(tmp_path, capsys, monkeypatch):
+    # shifted partitions keep within the bound certify declares; with a
+    # bound of 1 the two parts meeting along their wall exceed it
+    real = nervecontract.nerve
+    monkeypatch.setattr(nervecontract, "nerve", lambda p, parts, **_: real(p, parts, 1))
+    code, out, err = run(capsys, "certify", write_coloring(tmp_path, "h.txt", STRIPES))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: nerve: parts (0, 1) share a point")
+
+
+def test_certify_face_overlap_names_the_stage(tmp_path, capsys, monkeypatch):
+    # part 1's boxes overlap, so its two wall pieces against part 0 overlap
+    den, boxes = lattice_cells([((0, "1/2"), (0, 1)), (("1/2", 1), (0, "1/2")),
+                                (("1/2", 1), ("1/4", 1))])
+    p = ShiftedPartition(2, 1, 0, [PartitionCell(b, (0, 0)) for b in boxes], den)
+    parts = [Part(0, 0, (0,), tuple(boxes[:1]), Fraction(1, 2), den),
+             Part(1, 1, (1, 2), tuple(boxes[1:]), Fraction(5, 8), den)]
+    monkeypatch.setattr(nervecontract, "build_shifted_partition", lambda *_: p)
+    monkeypatch.setattr(nervecontract, "mono_parts", lambda *_: parts)
+    path = write_coloring(tmp_path, "h.txt", "2 1 2\n0\n")
+    code, out, err = run(capsys, "certify", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("identity failure: nerve: intersection pieces of (0, 1) overlap")
+
+
+def test_certify_contraction_failure_names_the_stage(tmp_path, capsys, monkeypatch):
+    # a wall replaced by a stub that ends inside the cube is no relative
+    # cycle, so eq2 cannot hold at (0, 1): an identity failure, not bad input
+    real = nervecontract.nerve
+
+    def broken_nerve(p, parts, **kw):
+        nrv = real(p, parts, **kw)
+        stub = BoxCell([(p.den // 4, p.den // 2), (p.den // 2, p.den // 2)])
+        nrv.faces[(0, 1)] = RectChain.make(2, 1, MOD2, [(stub, 1)], p.den)
+        return nrv
+
+    monkeypatch.setattr(nervecontract, "nerve", broken_nerve)
+    code, out, err = run(capsys, "certify", write_coloring(tmp_path, "h.txt", STRIPES))
+    assert (code, out) == (1, "")
+    assert err == "identity failure: contraction: simplex (0, 1): input is not a relative cycle\n"
 
 
 # -------------------------------------------------------------- fill-test

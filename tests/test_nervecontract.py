@@ -547,6 +547,28 @@ def test_face_overlap_is_an_identity_error():
         nerve(p, [a, b])
 
 
+def test_contraction_failure_is_an_identity_error_naming_the_simplex():
+    # fill raises FillError, a ValueError that the CLI reads as bad input,
+    # when its argument is not a relative cycle; there eq2 fails at s
+    p = build_shifted_partition(2, 2, F(1, 32))
+    nrv = nerve(p, mono_parts(p, parse_coloring("2 2 2\n0 0 1 1")))
+    assert nrv.simplices[1] == [(0, 1)]
+    stub = BoxCell([(p.den // 4, p.den // 2), (p.den // 2, p.den // 2)])  # ends inside
+    faces = {**nrv.faces, (0, 1): RectChain.make(2, 1, MOD2, [(stub, 1)], p.den)}
+    with pytest.raises(IdentityError, match=r"^contraction: simplex \(0, 1\): .*relative cycle"):
+        contraction(dataclasses.replace(nrv, faces=faces))
+    contraction(nrv)  # the true walls are relative cycles
+
+
+def test_stage_errors_name_their_stage():
+    with pytest.raises(PartitionError, match="^partition: delta must lie"):
+        build_shifted_partition(2, 2, F(1, 8))
+    p = build_shifted_partition(2, 2, F(1, 16))
+    parts = mono_parts(p, parse_coloring("2 2 4\n0 1 2 3"))
+    with pytest.raises(MultiplicityError, match=r"^nerve: parts \(\d+, \d+, \d+\) share a point"):
+        nerve(p, parts, max_multiplicity=2)
+
+
 def old_face_overlaps(kept, den):
     """Oracle: the overlap verdict of `_face` before it read contacts, the
     mod-2 chain's volume against the volume of the union."""
