@@ -22,8 +22,11 @@ Conventions used throughout:
 * Chains are kept canonical: within one affine plane no two stored
   cells overlap on a set of positive k-volume, and adjacent cells with
   equal coefficients are merged.  The cells do not depend on how a chain
-  was grouped or summed, only their order does, and equality of chains
-  is decided by checking that the difference cancels to the empty chain.
+  was grouped or summed, and equality of chains is decided by checking
+  that the difference cancels to the empty chain.
+* A chain's value is its cells and their coefficients; the order of its
+  terms carries no meaning.  `RectChain.cells()` is the sorted view used
+  for output.
 * Chains over different denominators combine over their lcm.  Rescaling
   the lattice maps cells in an order-preserving way, so it never changes
   a canonical form, a comparison or a choice made by `fill`.
@@ -213,33 +216,30 @@ def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
     cells.  Only the free axes after the first are cut: on each row (one
     segment per such axis) a sweep over the members' first-axis intervals
     yields the runs that the first merge pass makes of the row's atoms
-    when all axes are cut.  That pass emits rows in the order of their
-    first surviving atom, and atoms arise member by member, first-axis
-    segment before row; so rows sort by the first member whose interval
-    holds a run, the first surviving point in it, then the row."""
+    when all axes are cut."""
     free = [a for a, v in enumerate(key) if v is None]
     cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free]
     segments = [list(zip(pts, pts[1:])) for pts in cuts[1:]]
     ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
     rows: dict[tuple, list] = {}
-    for m, (c, coef) in enumerate(members):
+    for c, coef in members:
         per_axis = []
         for a, segs, rank in zip(free[1:], segments, ranks[1:]):
             lo, hi = c.extents[a]
             per_axis.append(segs[rank[lo] : rank[hi]])
-        span = (m, *c.extents[free[0]], coef)
+        span = (*c.extents[free[0]], coef)
         for row in itertools.product(*per_axis):
             rows.setdefault(row, []).append(span)
-    swept = []
+    boxes: dict[tuple, int] = {}
     for row, spans in rows.items():
         if len(spans) == 1:  # one member: one run, no sweep
-            m, lo, hi, coef = spans[0]
-            runs = [(lo, hi, _reduce_coef(coef, ring))]
-            if runs[0][2]:
-                swept.append((m, lo, row, runs))
+            lo, hi, coef = spans[0]
+            cf = _reduce_coef(coef, ring)
+            if cf:
+                boxes[((lo, hi),) + row] = cf
             continue
         steps: dict[int, int] = {}
-        for _, lo, hi, coef in spans:
+        for lo, hi, coef in spans:
             steps[lo] = steps.get(lo, 0) + coef
             steps[hi] = steps.get(hi, 0) - coef
         marks = sorted(steps)
@@ -251,17 +251,11 @@ def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
                 runs[-1] = (runs[-1][0], hi, cf)
             elif cf:
                 runs.append((lo, hi, cf))
-        if runs:
-            first = ((m, max(lo, a)) for m, lo, hi, _ in spans
-                     for a, b, _ in runs if a < hi and lo < b)
-            swept.append((*next(first), row, runs))
-    swept.sort()  # rows differ, so the runs are never compared
+        for lo, hi, cf in runs:
+            boxes[((lo, hi),) + row] = cf
     # the runs are maximal, so with one free axis no later pass merges
     rank = ranks[0]
-    changed = len(free) > 1 and any(
-        rank[hi] - rank[lo] > 1 for *_, runs in swept for lo, hi, _ in runs
-    )
-    boxes = {((lo, hi),) + row: cf for _, _, row, runs in swept for lo, hi, cf in runs}
+    changed = len(free) > 1 and any(rank[hi] - rank[lo] > 1 for (lo, hi), *_ in boxes)
     for ext, coef in _merge_atoms(boxes, len(free), 1, changed).items():
         full = [(v, v) for v in key]
         for a, e in zip(free, ext):
@@ -274,10 +268,10 @@ def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, 
 
     One pass checks that every cell is a k-cell in dimension d (zero
     coefficients included), reduces its coefficient and groups the nonzero
-    ones by affine plane, in order of first appearance.  On each plane the
-    coefficients of identical cells are summed.  A plane left with one
-    nonzero cell passes through, as a lone box split on any grid merges
-    back to itself; otherwise `_merge_plane` runs over all its cells.
+    ones by affine plane.  On each plane the coefficients of identical
+    cells are summed.  A plane left with one nonzero cell passes through,
+    as a lone box split on any grid merges back to itself; otherwise
+    `_merge_plane` runs over all its cells.
     """
     groups: dict[tuple, list[tuple[BoxCell, int]]] = {}
     for c, coef in raw:

@@ -59,8 +59,13 @@ class PartitionError(ValueError):
     """Shifted partition failed its constructive verification."""
 
 
-class MultiplicityError(ValueError):
-    """The nerve has a simplex deeper than the declared multiplicity."""
+class IdentityError(AssertionError):
+    """An exact chain identity failed; names the offending object."""
+
+
+class MultiplicityError(IdentityError):
+    """The nerve has a simplex deeper than the declared multiplicity.  The
+    parts of a simplex have distinct colors, so no valid input gets there."""
 
     def __init__(self, simplex):
         self.simplex = simplex
@@ -68,10 +73,6 @@ class MultiplicityError(ValueError):
             f"nerve: parts {simplex} share a point: multiplicity {len(simplex)} "
             "exceeds the declared bound"
         )
-
-
-class IdentityError(AssertionError):
-    """An exact chain identity failed; names the offending object."""
 
 
 def _first_primes_above(n: int, count: int) -> list[int]:
@@ -284,8 +285,8 @@ class Nerve:
     the chain of part i, k+1 parts to the pieces of dimension d - k of
     their common intersection, each once (the zero chain when the parts
     meet only in lower dimension).  `cofaces` maps a simplex to the
-    simplices one vertex larger that contain it, in the order the nerve
-    created them; a maximal simplex has no entry."""
+    simplices one vertex larger that contain it; a maximal simplex has no
+    entry."""
 
     simplices: dict[int, list[tuple[int, ...]]]
     max_dim: int
@@ -343,6 +344,13 @@ def nerve(
     return Nerve(simplices=levels, max_dim=max(levels), faces=faces, cofaces=cofaces)
 
 
+def _cycle(nrv: Nerve, fillings: dict[tuple[int, ...], RectChain], s) -> RectChain:
+    """Z(s) = C(s) + the sum of F over the cofaces of s, in one mod-2 sum:
+    the chain that contraction fills at s, and the cycle X_i at a vertex."""
+    c = nrv.faces[s]
+    return RectChain.sum(c.d, c.k, MOD2, [c, *(fillings[t] for t in nrv.cofaces.get(s, []))])
+
+
 def contraction(nrv: Nerve) -> dict[tuple[int, ...], RectChain]:
     """The filling F(s) of every nerve simplex s of dimension >= 1, with
     boundary(F(s)) = C(s) minus the sum of F over the cofaces of s, built
@@ -352,13 +360,8 @@ def contraction(nrv: Nerve) -> dict[tuple[int, ...], RectChain]:
     fillings: dict[tuple[int, ...], RectChain] = {}
     for k in range(nrv.max_dim, 0, -1):
         for s in nrv.simplices.get(k, []):
-            z = nrv.faces[s]
-            # summed pairwise: one RectChain.sum gives the same cells, but
-            # in another order, and the fillings' term order follows it
-            for t in nrv.cofaces.get(s, []):
-                z = z + fillings[t]
             try:
-                fillings[s] = fill(z)
+                fillings[s] = fill(_cycle(nrv, fillings, s))
             except FillError as exc:
                 raise IdentityError(f"contraction: simplex {s}: {exc}") from exc
     return fillings
@@ -425,7 +428,7 @@ class AuditReport:
         }
 
 
-def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
+def skeleton_volumes(chain: RectChain) -> list[Fraction]:
     """Exact volumes of every codimension-k skeleton of the region carried
     by a d-chain, indexed by k = 0..d.
 
@@ -436,14 +439,9 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
     At k = d the result counts the corner points, each once.  k = 0 is
     the volume of the chain itself.
 
-    By default the skeleton is taken relative to the cube boundary, like
-    every other object in this pipeline: faces supported inside a facet
-    of the cube are dropped.  That is also the only variant for which the
-    volume bound with the constant g(d,k) holds at every part — the k=1
-    constant is exactly tight for a full interior cell, so the absolute
-    skeleton of a cell clipped by the cube boundary (losing width but
-    keeping its full-length faces) exceeds the bound by an O(delta) term.
-    Pass relative=False for the absolute skeleton.
+    The skeleton is taken relative to the cube boundary, like every other
+    object in this pipeline: faces supported inside a facet of the cube
+    are dropped.
 
     One boundary is taken and every level is built once from the one
     above it.  The pairs of a level come from chains.contacts over its
@@ -458,7 +456,8 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
     # piece is either one of a k = 1 piece, or a point where one interval
     # ends and another starts, which lies strictly inside (0, 1).
     den = chain.den
-    pieces = list(boundary(chain, relative=relative).terms)
+    # only the relative skeleton obeys g(d,k): a clipped cell's absolute one exceeds it
+    pieces = list(boundary(chain, relative=True).terms)
     volumes = [chain.volume(), Fraction(sum(b.volume() for b in pieces), den ** (chain.d - 1))]
     for target in range(chain.d - 2, -1, -1):
         patterns = [tuple(lo == hi for lo, hi in b.extents) for b in pieces]
@@ -469,13 +468,6 @@ def skeleton_volumes(chain: RectChain, relative: bool = True) -> list[Fraction]:
         )
         volumes.append(Fraction(sum(b.volume() for b in pieces), den**target))
     return volumes
-
-
-def _sum(d: int, k: int, chains) -> RectChain:
-    """The mod-2 sum of k-chains in one canonicalization.  It has the cells
-    of a pairwise sum, maybe in another order; it serves where the sum is
-    compared, tested for being a cycle, or measured."""
-    return RectChain.sum(d, k, MOD2, chains)
 
 
 def assemble_and_audit(
@@ -497,7 +489,9 @@ def assemble_and_audit(
     for k in range(0, nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
             rhs = [nrv.faces[t] for t in nrv.cofaces.get(s, [])]
-            residual = _sum(d, d - k - 1, [boundary(nrv.faces[s], relative=True), *rhs])
+            residual = RectChain.sum(
+                d, d - k - 1, MOD2, [boundary(nrv.faces[s], relative=True), *rhs]
+            )
             if not modulo_boundary(residual).is_zero():
                 eq2_ok = False
                 failures.append(f"boundary decomposition fails at simplex {s}")
@@ -506,16 +500,15 @@ def assemble_and_audit(
     eq3_ok = True
     for s, f_chain in fillings.items():
         rhs = [nrv.faces[s], *(fillings[t] for t in nrv.cofaces.get(s, []))]
-        residual = _sum(d, d - len(s) + 1, [boundary(f_chain, relative=True), *rhs])
+        residual = RectChain.sum(
+            d, d - len(s) + 1, MOD2, [boundary(f_chain, relative=True), *rhs]
+        )
         if not modulo_boundary(residual).is_zero():
             eq3_ok = False
             failures.append(f"contraction relation fails at simplex {s}")
 
     # per-part cycles
-    X_chains = [
-        _sum(d, d, [nrv.faces[(p.id,)], *(fillings[t] for t in nrv.cofaces.get((p.id,), []))])
-        for p in parts
-    ]
+    X_chains = [_cycle(nrv, fillings, (p.id,)) for p in parts]
 
     dXi_zero = True
     for p, x in zip(parts, X_chains):
@@ -523,7 +516,7 @@ def assemble_and_audit(
             dXi_zero = False
             failures.append(f"X_{p.id} is not a relative cycle")
 
-    sum_is_Q = _sum(d, d, X_chains) == fundamental_chain(d, MOD2)
+    sum_is_Q = RectChain.sum(d, d, MOD2, X_chains) == fundamental_chain(d, MOD2)
     if not sum_is_Q:
         failures.append("the X_i do not sum to the fundamental class of the cube")
 

@@ -236,8 +236,8 @@ def test_certify_multiplicity_failure_names_the_stage(tmp_path, capsys, monkeypa
     real = nervecontract.nerve
     monkeypatch.setattr(nervecontract, "nerve", lambda p, parts, **_: real(p, parts, 1))
     code, out, err = run(capsys, "certify", write_coloring(tmp_path, "h.txt", STRIPES))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: nerve: parts (0, 1) share a point")
+    assert (code, out) == (1, "")
+    assert err.startswith("identity failure: nerve: parts (0, 1) share a point")
 
 
 def test_certify_face_overlap_names_the_stage(tmp_path, capsys, monkeypatch):
