@@ -178,18 +178,26 @@ def contacts(boxes: Sequence[BoxCell]) -> list[tuple[int, int, BoxCell]]:
     """Every pair i < j of closed boxes that meet, with their closed
     intersection, as (i, j, box) sorted by (i, j), over their common den.
 
-    A sort-and-sweep by lower endpoint on the first axis: each box is
-    tested only against the earlier ones whose interval there is still
-    open, and one loop over the axes intersects them, stopping at the
-    first empty axis.
+    A sort-and-sweep by lower endpoint on the first axis keeps the earlier
+    boxes whose interval there is still open.  Of those, only the ones
+    whose interval on the second axis meets box j's are tested on every
+    axis and intersected, stopping at the first empty axis.  Closed boxes
+    meet exactly when their intervals meet on every axis, so both filters
+    drop only pairs that are apart and the result is the all-pairs one.
     """
+    if not boxes:
+        return []
     keys = [b.extents for b in boxes]
+    second = 1 if len(keys[0]) > 1 else 0
+    lo2 = [k[second][0] for k in keys]
+    hi2 = [k[second][1] for k in keys]
     active: list[int] = []
     out = []
     for j in sorted(range(len(boxes)), key=lambda i: keys[i][0][0]):
         kj = keys[j]
         active = [i for i in active if keys[i][0][1] >= kj[0][0]]
-        for i in active:
+        lj, hj = lo2[j], hi2[j]
+        for i in [i for i in active if lo2[i] <= hj and hi2[i] >= lj]:
             ext = []
             for (alo, ahi), (blo, bhi) in zip(keys[i], kj):
                 lo = alo if alo > blo else blo
@@ -218,13 +226,13 @@ def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
     yields the runs that the first merge pass makes of the row's atoms
     when all axes are cut."""
     free = [a for a, v in enumerate(key) if v is None]
-    cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free]
-    segments = [list(zip(pts, pts[1:])) for pts in cuts[1:]]
+    cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free[1:]]
+    segments = [list(zip(pts, pts[1:])) for pts in cuts]
     ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
     rows: dict[tuple, list] = {}
     for c, coef in members:
         per_axis = []
-        for a, segs, rank in zip(free[1:], segments, ranks[1:]):
+        for a, segs, rank in zip(free[1:], segments, ranks):
             lo, hi = c.extents[a]
             per_axis.append(segs[rank[lo] : rank[hi]])
         span = (*c.extents[free[0]], coef)
@@ -253,10 +261,8 @@ def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
                 runs.append((lo, hi, cf))
         for lo, hi, cf in runs:
             boxes[((lo, hi),) + row] = cf
-    # the runs are maximal, so with one free axis no later pass merges
-    rank = ranks[0]
-    changed = len(free) > 1 and any(rank[hi] - rank[lo] > 1 for (lo, hi), *_ in boxes)
-    for ext, coef in _merge_atoms(boxes, len(free), 1, changed).items():
+    # the runs are maximal, so the merge starts at the second free axis
+    for ext, coef in _merge_atoms(boxes, len(free), 1).items():
         full = [(v, v) for v in key]
         for a, e in zip(free, ext):
             full[a] = e
@@ -299,11 +305,12 @@ def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, 
     return out
 
 
-def _merge_atoms(atoms: dict, nfree: int, start: int = 0, changed: bool = False) -> dict:
+def _merge_atoms(atoms: dict, nfree: int, start: int = 0) -> dict:
     """Coalesce adjacent boxes with equal coefficients until stable, in rounds
-    of one pass per axis.  The first round starts at pass `start`, and
-    `changed` says whether its earlier passes merged anything."""
+    of one pass per axis.  The first round starts at pass `start`: the
+    passes before it would merge nothing."""
     while len(atoms) > 1:
+        changed = False
         for pos in range(start, nfree):
             runs: dict[tuple, list] = {}
             for ext, coef in atoms.items():
@@ -329,7 +336,7 @@ def _merge_atoms(atoms: dict, nfree: int, start: int = 0, changed: bool = False)
             atoms = merged
         if not changed:
             break
-        start, changed = 0, False
+        start = 0
     return atoms
 
 
@@ -453,13 +460,16 @@ def boundary(c: RectChain, relative: bool = False) -> RectChain:
     for b, coef in c.terms.items():
         if relative and b.in_cube_boundary(c.den):
             continue  # with all its faces; other cells lose only faces fixed at 0 or 1
-        for p, axis in enumerate(b.interval_axes):
-            lo, hi = b.extents[axis]
-            sign = -1 if p % 2 else 1
+        ext, sign = b.extents, coef
+        for axis, (lo, hi) in enumerate(ext):
+            if lo == hi:
+                continue
+            head, tail = ext[:axis], ext[axis + 1 :]
             if not (relative and hi == c.den):
-                raw.append((b.replace(axis, hi, hi), coef * sign))
+                raw.append((BoxCell._from_valid(head + ((hi, hi),) + tail), sign))
             if not (relative and lo == 0):
-                raw.append((b.replace(axis, lo, lo), -coef * sign))
+                raw.append((BoxCell._from_valid(head + ((lo, lo),) + tail), -sign))
+            sign = -sign
     return RectChain.make(c.d, c.k - 1, c.ring, raw, c.den)
 
 

@@ -296,19 +296,25 @@ class Nerve:
 
 def _face(simplex: tuple[int, ...], pieces: list[BoxCell], den: int) -> RectChain:
     """The chain of dimension d - k carried by the distinct intersection
-    pieces of k+1 parts, over `den`."""
+    pieces of k+1 parts, over `den`.
+
+    Distinct cell pairs never overlap on positive measure in a simple
+    partition; if they did, mod-2 addition would silently change the
+    area, so that raises.  The test is exact: the mod-2 chain measures
+    the set covered an odd number of times, which equals the pieces'
+    total volume only when no two of them overlap on positive measure.
+    """
     d = pieces[0].d
     target = d - (len(simplex) - 1)
     kept = [b for b in pieces if b.k == target]
     if not kept:
         return RectChain.zero(d, max(target, 0), MOD2)
-    if any(x.k == target for _, _, x in contacts(kept)):
-        # distinct cell pairs never overlap on positive measure in a simple
-        # partition; if they did, mod-2 addition would silently erase area
+    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept], den)
+    if chain.volume() != Fraction(sum(b.volume() for b in kept), den**target):
         raise IdentityError(
             f"nerve: intersection pieces of {simplex} overlap with positive measure"
         )
-    return RectChain.make(d, target, MOD2, [(b, 1) for b in kept], den)
+    return chain
 
 
 def nerve(
@@ -443,29 +449,39 @@ def skeleton_volumes(chain: RectChain) -> list[Fraction]:
     object in this pipeline: faces supported inside a facet of the cube
     are dropped.
 
-    One boundary is taken and every level is built once from the one
-    above it.  The pairs of a level come from chains.contacts over its
-    pieces, and only pieces whose sets of fixed axes differ count: two
-    pieces fixed on the same axes either share their plane (coflat, no
-    bend between them) or differ in a fixed coordinate and are disjoint.
+    One relative boundary is taken (the audit hands over the one its eq2
+    check takes) and every level is built once from the one above it.
+    The pairs of a level come from chains.contacts over its pieces, and
+    only pieces whose sets of fixed axes differ count: two pieces fixed on
+    the same axes either share their plane (coflat, no bend between them)
+    or differ in a fixed coordinate and are disjoint.  Each level's pieces
+    overlap only in measure zero, so their volumes add up exactly.
     """
-    # exact without a union: at k = 1 the pieces are the cells of a
+    # only the relative skeleton obeys g(d,k): a clipped cell's absolute one exceeds it
+    return _skeleton_volumes(chain, boundary(chain, relative=True))
+
+
+def _skeleton_volumes(chain: RectChain, walls: RectChain) -> list[Fraction]:
+    """skeleton_volumes(chain), given its relative boundary `walls`, which
+    the audit has already taken for eq2."""
+    # exact without a union at k = 1: the pieces are the cells of a
     # canonical chain, disjoint within a plane, and distinct planes meet in
-    # measure zero; deeper levels come out of union_normalize already.
+    # measure zero; deeper levels come out of union_normalize, and at k = d
+    # the pieces are points, each counted once.
     # Relative needs no check below k = 1: a fixed coordinate of a deeper
     # piece is either one of a k = 1 piece, or a point where one interval
     # ends and another starts, which lies strictly inside (0, 1).
     den = chain.den
-    # only the relative skeleton obeys g(d,k): a clipped cell's absolute one exceeds it
-    pieces = list(boundary(chain, relative=True).terms)
+    pieces = list(walls.terms)
     volumes = [chain.volume(), Fraction(sum(b.volume() for b in pieces), den ** (chain.d - 1))]
     for target in range(chain.d - 2, -1, -1):
         patterns = [tuple(lo == hi for lo, hi in b.extents) for b in pieces]
-        pieces = union_normalize(
+        found = (
             x
             for i, j, x in contacts(pieces)
             if patterns[i] != patterns[j] and x.k == target
         )
+        pieces = list(dict.fromkeys(found)) if target == 0 else union_normalize(found)
         volumes.append(Fraction(sum(b.volume() for b in pieces), den**target))
     return volumes
 
@@ -486,12 +502,14 @@ def assemble_and_audit(
     # intersection boundary relation, level by level; mod 2 a relation
     # holds when its two sides sum to zero off the cube boundary
     eq2_ok = True
+    walls: dict[int, RectChain] = {}  # each part's relative boundary, for the skeleton
     for k in range(0, nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
+            wall = boundary(nrv.faces[s], relative=True)
+            if k == 0:
+                walls[s[0]] = wall
             rhs = [nrv.faces[t] for t in nrv.cofaces.get(s, [])]
-            residual = RectChain.sum(
-                d, d - k - 1, MOD2, [boundary(nrv.faces[s], relative=True), *rhs]
-            )
+            residual = RectChain.sum(d, d - k - 1, MOD2, [wall, *rhs])
             if not modulo_boundary(residual).is_zero():
                 eq2_ok = False
                 failures.append(f"boundary decomposition fails at simplex {s}")
@@ -557,7 +575,7 @@ def assemble_and_audit(
     g_ok = True
     if check_skeleton:
         for p in parts:
-            volumes = skeleton_volumes(nrv.faces[(p.id,)])
+            volumes = _skeleton_volumes(nrv.faces[(p.id,)], walls[p.id])
             for k in range(1, d + 1):
                 skel = volumes[k]
                 bnd = g_constant(d, k) * p.volume * Fraction(n) ** k

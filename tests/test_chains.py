@@ -596,15 +596,69 @@ def closed_box_families(draw):
     return lattice_cells(boxes + draw(st.lists(st.sampled_from(boxes), max_size=3)))[1]
 
 
-@given(closed_box_families())
-@settings(max_examples=200, deadline=None)
-def test_contacts_match_all_pairs(boxes):
+@st.composite
+def huge_and_tiny_boxes(draw):
+    """A few boxes spanning most of [0,1]^d, d = 1..3, among many tiny
+    ones, over den 64: each huge box stays open through most of the sweep
+    and meets many tiny boxes on one axis but not on the others."""
+    d = draw(st.integers(1, 3))
+
+    def box(size):
+        ext = []
+        for _ in range(d):
+            lo = draw(st.integers(0, 64 - size))
+            ext.append((lo, lo + draw(st.integers(0, size))))
+        return BoxCell(ext)
+
+    huge = [box(draw(st.integers(40, 64))) for _ in range(draw(st.integers(1, 3)))]
+    tiny = [box(draw(st.integers(0, 4))) for _ in range(draw(st.integers(10, 40)))]
+    return draw(st.permutations(huge + tiny))
+
+
+def all_pairs_contacts(boxes):
+    """Oracle: intersect every pair."""
     want = []
     for (i, a), (j, b) in itertools.combinations(enumerate(boxes), 2):
         x = a.intersect(b)
         if x is not None:
             want.append((i, j, x))
-    assert contacts(boxes) == want  # the same triples, sorted by (i, j)
+    return want
+
+
+def sweep_contacts(boxes):
+    """Oracle: `contacts` as it was before the second-axis filter, a sweep
+    on the first axis that tests every open box on every axis."""
+    keys = [b.extents for b in boxes]
+    active = []
+    out = []
+    for j in sorted(range(len(boxes)), key=lambda i: keys[i][0][0]):
+        active = [i for i in active if keys[i][0][1] >= keys[j][0][0]]
+        for i in active:
+            x = boxes[i].intersect(boxes[j])
+            if x is not None:
+                out.append((min(i, j), max(i, j), x))
+        active.append(j)
+    return sorted(out, key=lambda t: t[:2])
+
+
+@given(st.one_of(closed_box_families(), huge_and_tiny_boxes()))
+@settings(max_examples=200, deadline=None)
+def test_contacts_match_all_pairs(boxes):
+    # the same triples, sorted by (i, j)
+    assert contacts(boxes) == all_pairs_contacts(boxes) == sweep_contacts(boxes)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [],
+        [(0, "1/2")],
+        [(0, "1/2"), ("1/2", 1), ("1/4", "3/4"), "1/2", "1/2", (0, 1), "3/4"],  # d = 1
+    ],
+)
+def test_contacts_on_empty_and_one_dimensional_input(specs):
+    boxes = lattice_cells([(e,) for e in specs])[1]
+    assert contacts(boxes) == all_pairs_contacts(boxes) == sweep_contacts(boxes)
 
 
 def test_contacts_keep_corner_and_face_contacts():

@@ -2,6 +2,7 @@
 and the end-to-end audit."""
 
 import dataclasses
+import re
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import factorial
@@ -598,6 +599,8 @@ def test_face_overlap_verdict_matches_union_volume_oracle(data, p):
     # than their union's
     total = F(sum(b.volume() for b in kept), p.den**target)
     assert got == (total != union_volume(kept, p.den))
+    # the verdict read from the contact sweep, before `_face` compared volumes
+    assert got == any(x.k == target for _, _, x in contacts(kept))
     # the old verdict raised on a subset: mod 2, an overlap covered an odd
     # number of times keeps its volume
     assert got or not old_face_overlaps(kept, p.den)
@@ -612,13 +615,24 @@ def test_face_overlap_verdict_matches_union_volume_oracle(data, p):
 
 def test_face_raises_on_an_overlap_that_mod_2_keeps():
     # the corner square lies in all three pieces, an odd number, so the
-    # mod-2 chain keeps the whole L and its volume is the union's
-    den, kept = lattice_cells(
-        [((0, 1), (0, "1/2")), ((0, "1/2"), (0, 1)), ((0, "1/2"), (0, "1/2"))]
-    )
-    assert not old_face_overlaps(kept, den)
-    with pytest.raises(IdentityError, match=r"\(0,\)"):
-        _face((0,), kept, den)
+    # mod-2 chain keeps the whole L and its volume is the union's, short
+    # of the pieces' total; the same L as a wall in d = 3
+    for specs in (
+        [((0, 1), (0, "1/2")), ((0, "1/2"), (0, 1)), ((0, "1/2"), (0, "1/2"))],
+        [
+            ((0, 1), (0, "1/2"), "1/2"),
+            ((0, "1/2"), (0, 1), "1/2"),
+            ((0, "1/2"), (0, "1/2"), "1/2"),
+        ],
+    ):
+        den, kept = lattice_cells(specs)
+        d, k = kept[0].d, kept[0].k
+        assert not old_face_overlaps(kept, den)
+        mod2 = RectChain.make(d, k, MOD2, [(b, 1) for b in kept], den)
+        assert mod2.volume() == F(3, 4) < F(sum(b.volume() for b in kept), den**k) == F(5, 4)
+        simplex = tuple(range(d - k + 1))
+        with pytest.raises(IdentityError, match=re.escape(str(simplex))):
+            _face(simplex, kept, den)
 
 
 def eq2_residual(nrv, simplex):
@@ -967,6 +981,25 @@ def test_skeleton_volumes_match_per_level_oracle(d, n, colors):
             got = skeleton_volumes(pt.chain())
             want = [oracle_skeleton_volume(pt, k) for k in range(d + 1)]
             assert got == want, pt.id
+
+
+@pytest.mark.parametrize(
+    "d,n,colors,seed",
+    [(2, 4, 2, 0), (2, 5, 3, 1), (3, 3, 2, 0), (3, 4, 3, 1), (3, 4, 4, 2)]
+    + [(4, 2, c, seed) for c in (2, 3) for seed in (0, 1, 2)],
+)
+def test_audit_skeleton_matches_standalone_skeleton_volumes(d, n, colors, seed):
+    # the audit hands the skeleton the relative boundaries its eq2 check
+    # took; recomputing each part's skeleton from scratch gives the same rows
+    g = random_coloring(d, n, colors, seed)
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    want = [
+        (pt.id, k, skeleton_volumes(pt.chain())[k])
+        for pt in mono_parts(p, g)
+        for k in range(1, d + 1)
+    ]
+    rep = certify_coloring(g)
+    assert [(row["part"], row["k"], row["skeleton"]) for row in rep.g_checks] == want
 
 
 @pytest.mark.parametrize("d,seed", [(2, 0), (2, 1), (3, 0)])
