@@ -20,9 +20,12 @@ Conventions used throughout:
 * "Relative" always means modulo the boundary of the cube: cells whose
   support lies inside a facet {x_a = 0} or {x_a = 1} are discarded.
 * Chains are kept canonical: within one affine plane no two stored
-  cells overlap on a set of positive k-volume, and adjacent cells with
-  equal coefficients are merged.  The cells do not depend on how a chain
-  was grouped or summed, and equality of chains is decided by checking
+  cells overlap on a set of positive k-volume.  On each row (one
+  elementary segment per free axis after the first) the cells are the
+  maximal first-axis runs of equal coefficient, and these are joined
+  once along each later free axis, in axis order, where they touch with
+  equal coefficients.  The cells do not depend on how a chain was
+  grouped or summed, and equality of chains is decided by checking
   that the difference cancels to the empty chain.
 * A chain's value is its cells and their coefficients; the order of its
   terms carries no meaning.  `RectChain.cells()` is the sorted view used
@@ -219,12 +222,34 @@ def _reduce_coef(coef: int, ring: str) -> int:
     return coef
 
 
+def _join(pieces: list) -> list:
+    """Sorted, disjoint ((lo, hi), coef) pieces of one line with touching
+    neighbours of equal coefficient joined."""
+    out = []
+    for (lo, hi), cf in pieces:
+        if out and out[-1][0][1] == lo and out[-1][1] == cf:
+            out[-1] = ((out[-1][0][0], hi), cf)
+        else:
+            out.append(((lo, hi), cf))
+    return out
+
+
 def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
     """Sum one plane's cells, reduce their coefficients and yield the merged
-    cells.  Only the free axes after the first are cut: on each row (one
-    segment per such axis) a sweep over the members' first-axis intervals
-    yields the runs that the first merge pass makes of the row's atoms
-    when all axes are cut."""
+    cells: maximal first-axis runs per row, then one join per later free axis.
+
+    A point's plane holds only that point, so `_canonical_terms` never
+    sends one here.  A row is one segment per free axis after the first,
+    cut on the members' breakpoints.  On each row a sweep over the
+    members' first-axis intervals gives the nonzero elementary segments,
+    which `_join` makes the row's maximal runs.  Then pass j, for each later
+    free axis j in order, joins boxes that touch along j and agree elsewhere.
+    A second round would join nothing: each row's runs are maximal; pass j
+    leaves boxes maximal along j within each group of equal other extents;
+    a later pass i never changes an axis-j extent, and each box it makes is
+    one piece per axis-i segment with all its other extents, so two of its
+    boxes that could join along j had pieces that pass j would have joined.
+    """
     free = [a for a, v in enumerate(key) if v is None]
     cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free[1:]]
     segments = [list(zip(pts, pts[1:])) for pts in cuts]
@@ -251,18 +276,25 @@ def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
             steps[lo] = steps.get(lo, 0) + coef
             steps[hi] = steps.get(hi, 0) - coef
         marks = sorted(steps)
-        runs, total = [], 0
+        elementary, total = [], 0
         for lo, hi in zip(marks, marks[1:]):
             total += steps[lo]
             cf = _reduce_coef(total, ring)
-            if runs and runs[-1][1] == lo and runs[-1][2] == cf:
-                runs[-1] = (runs[-1][0], hi, cf)
-            elif cf:
-                runs.append((lo, hi, cf))
-        for lo, hi, cf in runs:
-            boxes[((lo, hi),) + row] = cf
-    # the runs are maximal, so the merge starts at the second free axis
-    for ext, coef in _merge_atoms(boxes, len(free), 1).items():
+            if cf:
+                elementary.append(((lo, hi), cf))
+        for ext, cf in _join(elementary):
+            boxes[(ext,) + row] = cf
+    for pos in range(1, len(free)):
+        lines: dict[tuple, list] = {}
+        for ext, cf in boxes.items():
+            lines.setdefault(ext[:pos] + ext[pos + 1 :], []).append((ext[pos], cf))
+        boxes = {}
+        for rest, pieces in lines.items():
+            if len(pieces) > 1:
+                pieces = _join(sorted(pieces))  # intervals differ: coefs never compared
+            for ext, cf in pieces:
+                boxes[rest[:pos] + (ext,) + rest[pos:]] = cf
+    for ext, coef in boxes.items():
         full = [(v, v) for v in key]
         for a, e in zip(free, ext):
             full[a] = e
@@ -277,7 +309,7 @@ def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, 
     ones by affine plane.  On each plane the coefficients of identical
     cells are summed.  A plane left with one nonzero cell passes through,
     as a lone box split on any grid merges back to itself; otherwise
-    `_merge_plane` runs over all its cells.
+    `_merge_plane` runs over its distinct live cells.
     """
     groups: dict[tuple, list[tuple[BoxCell, int]]] = {}
     for c, coef in raw:
@@ -295,49 +327,13 @@ def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, 
             summed: dict[BoxCell, int] = {}
             for c, cf in members:
                 summed[c] = summed.get(c, 0) + cf
-            live = [(c, cf) for c, cf in summed.items() if _reduce_coef(cf, ring)]
-            if len(live) > 1:
+            members = [(c, cf) for c, cf in summed.items() if _reduce_coef(cf, ring)]
+            if len(members) > 1:
                 out.update(_merge_plane(ring, key, members))
                 continue
-            members = live
         for c, cf in members:  # at most one
             out[c] = _reduce_coef(cf, ring)
     return out
-
-
-def _merge_atoms(atoms: dict, nfree: int, start: int = 0) -> dict:
-    """Coalesce adjacent boxes with equal coefficients until stable, in rounds
-    of one pass per axis.  The first round starts at pass `start`: the
-    passes before it would merge nothing."""
-    while len(atoms) > 1:
-        changed = False
-        for pos in range(start, nfree):
-            runs: dict[tuple, list] = {}
-            for ext, coef in atoms.items():
-                runs.setdefault(ext[:pos] + ext[pos + 1 :], []).append((ext[pos], coef, ext))
-            merged: dict[tuple, int] = {}
-            for rest, pieces in runs.items():
-                if len(pieces) == 1:
-                    merged[pieces[0][2]] = pieces[0][1]
-                    continue
-                pieces.sort()  # intervals differ, so the boxes are never compared
-                (acc_lo, acc_hi), acc_cf, _ = pieces[0]
-                done = []
-                for (lo, hi), cf, _ in pieces[1:]:
-                    if lo == acc_hi and cf == acc_cf:
-                        acc_hi = hi
-                        changed = True
-                    else:
-                        done.append(((acc_lo, acc_hi), acc_cf))
-                        acc_lo, acc_hi, acc_cf = lo, hi, cf
-                done.append(((acc_lo, acc_hi), acc_cf))
-                for (lo, hi), cf in done:
-                    merged[rest[:pos] + ((lo, hi),) + rest[pos:]] = cf
-            atoms = merged
-        if not changed:
-            break
-        start = 0
-    return atoms
 
 
 @dataclass

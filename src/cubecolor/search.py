@@ -25,14 +25,14 @@ from itertools import product
 from .gridcolor import ComponentTracker, GridColoring, _neighbor_table, components
 
 DEFAULT_BUDGET = 2**24
-BUDGET_ENV = "CUBECOLOR_MAX_COLORINGS"
+BUDGET_ENV = "CUBECOLOR_MAX_NODES"
 
 
 class BudgetError(ValueError):
-    """Exhaustive scan would exceed the configured coloring budget."""
+    """Exhaustive search would visit more nodes than its budget allows."""
 
 
-def coloring_budget() -> int:
+def node_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
@@ -139,15 +139,20 @@ def exhaustive_min(
     component structure, so this loses nothing and divides the work by
     num_colors.  The witness is still the global lexicographic minimum
     because every witness has a color-permuted copy starting with 0.
+
+    `budget` (default: the `CUBECOLOR_MAX_NODES` environment variable, else
+    2^24) caps the nodes the search visits, one per cell colored, cell 0
+    included.  The first leaf takes one node per cell, so a grid with more
+    cells than the budget is refused at once, without building n^d when it
+    cannot fit.
     """
     check_shape(d, n, num_colors)
-    total = n**d
-    cap = budget if budget is not None else coloring_budget()
-    if _power_exceeds(num_colors, total, cap):
-        raise BudgetError(
-            f"{num_colors}^{total} colorings exceed the budget of {cap}"
-        )
-    best_val, cells = _branch_and_bound(d, n, num_colors)
+    cap = budget if budget is not None else node_budget()
+    if cap < 1:
+        raise BudgetError(f"need a node budget >= 1, got {cap}")
+    if n > cap or (n > 1 and d > cap.bit_length()) or n**d > cap:
+        raise BudgetError(f"{n}^{d} cells exceed the budget of {cap} nodes")
+    best_val, cells = _branch_and_bound(d, n, num_colors, cap)
     witness = GridColoring(d, n, num_colors, tuple(cells))
     check = components(witness).max_size
     if check != best_val:
@@ -158,24 +163,11 @@ def exhaustive_min(
     return best_val, witness
 
 
-def _power_exceeds(base: int, exp: int, cap: int) -> bool:
-    """base**exp > cap for base, exp >= 1, in at most cap.bit_length()
-    multiplications: the power is never built past the first value over
-    the cap, however large exp is."""
-    if base == 1:
-        return cap < 1
-    acc = 1
-    for _ in range(exp):
-        if acc > cap:
-            return True
-        acc *= base
-    return acc > cap
-
-
-def _branch_and_bound(d: int, n: int, num_colors: int) -> tuple[int, list[int]]:
+def _branch_and_bound(d: int, n: int, num_colors: int, cap: int) -> tuple[int, list[int]]:
     """Depth-first search over colorings in lexicographic order, cell 0
     fixed to color 0; returns the minimum and the least coloring
-    reaching it.
+    reaching it, or raises BudgetError once it has colored more than
+    `cap` cells, cell 0 included.
 
     A union-find with rollback (union by size, no path compression)
     holds the components of the colored prefix: placing a cell unions it
@@ -205,7 +197,7 @@ def _branch_and_bound(d: int, n: int, num_colors: int) -> tuple[int, list[int]]:
             size[parent[r]] -= size[r]
             parent[r] = r
 
-    pos = 1
+    pos, nodes = 1, 1
     while pos:
         c = next_color[pos]
         if c == num_colors or run_max[pos] >= best:
@@ -213,6 +205,12 @@ def _branch_and_bound(d: int, n: int, num_colors: int) -> tuple[int, list[int]]:
             if pos:
                 undo(pos)
             continue
+        nodes += 1
+        if nodes > cap:
+            raise BudgetError(
+                f"search of d={d}, n={n}, num_colors={num_colors} passed the budget of "
+                f"{cap} nodes; set {BUDGET_ENV} to raise it"
+            )
         next_color[pos] = c + 1
         cells[pos] = c
         root, merged = pos, absorbed[pos]

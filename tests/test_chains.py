@@ -519,17 +519,18 @@ def test_union_normalize_matches_old_splitter(family):
 
 @st.composite
 def plane_members(draw, ring):
-    """(key, members): cells of one plane with k = 1..3 free axes in
-    [0,1]^3 over den 12, as `_canonical_terms` hands them to `_merge_plane`:
-    tilings of a sub-grid by abutting boxes (as a part's cells lie), boxes
+    """(key, members): cells of one plane with k = 1..4 free axes in
+    [0,1]^4 over den 12, as `_canonical_terms` hands them to `_merge_plane`
+    but also with repeated cells, which it sums first: tilings of a
+    sub-grid by abutting boxes (as a part's cells lie), boxes
     that overlap, +c/-c pairs that empty whole rows, and a -c copy of a
     box's first-axis prefix on some of its rows, which cancels those rows'
     first atoms while later atoms survive; possibly shuffled.  Coefficients
     come reduced, as `_canonical_terms` passes them: mod 2 and in the union
     ring a pair covers twice instead of cancelling."""
-    k = draw(st.integers(1, 3))
-    free = draw(st.sampled_from(list(itertools.combinations(range(3), k))))
-    key = tuple(None if a in free else draw(st.sampled_from([0, 6, 12])) for a in range(3))
+    k = draw(st.integers(1, 4))
+    free = draw(st.sampled_from(list(itertools.combinations(range(4), k))))
+    key = tuple(None if a in free else draw(st.sampled_from([0, 6, 12])) for a in range(4))
 
     def interval(lo=0, hi=12):
         return tuple(sorted(draw(st.lists(st.integers(lo, hi), min_size=2, max_size=2,
@@ -580,6 +581,17 @@ def test_merge_plane_matches_atom_grid(ring, data):
     # same cells and coefficients as cutting on all breakpoints
     key, members = data.draw(plane_members(ring))
     assert dict(_merge_plane(ring, key, members)) == dict(old_merge_plane(ring, key, members))
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER, _UNION])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_merge_plane_is_a_fixed_point_of_the_atom_merge(ring, data):
+    # one round of joins is the whole merge: another on every free axis changes nothing
+    key, members = data.draw(plane_members(ring))
+    free = [a for a, v in enumerate(key) if v is None]
+    boxes = {tuple(c.extents[a] for a in free): cf for c, cf in _merge_plane(ring, key, members)}
+    assert old_merge_atoms(boxes, len(free)) == boxes
 
 
 @st.composite

@@ -200,6 +200,15 @@ def test_certify_d3_matches_stored_report(capsys, name):
     assert out == (DATA / f"{name}.json").read_text()
 
 
+def test_certify_no_skeleton_drops_only_g_checks(capsys):
+    # the skeleton rows are the only part of the report it changes
+    code, out, _ = run(capsys, "certify", "--no-skeleton", str(DATA / "certify_d3_n4_c3.txt"))
+    assert code == 0
+    want = json.loads((DATA / "certify_d3_n4_c3.json").read_text())
+    assert want["g_checks"]
+    assert json.loads(out) == {**want, "g_checks": []}
+
+
 def test_certify_custom_delta(tmp_path, capsys):
     path = write_coloring(tmp_path, "h.txt", "2 2 2\n0 1 0 1\n")
     code, out, _ = run(capsys, "certify", path, "--delta", "1/32")
@@ -381,7 +390,8 @@ def test_search_exhaustive_csv(tmp_path, capsys):
     assert lines[1] == "2,2,2,exhaustive,2,"
 
 
-def test_search_budget_error(capsys):
+def test_search_budget_error(capsys, monkeypatch):
+    monkeypatch.setenv("CUBECOLOR_MAX_NODES", "1000")  # --n 6 takes 22,297 nodes
     code, _, err = run(capsys, "search", "exhaustive", "--n", "6")
     assert code == 2
     assert "budget" in err

@@ -203,31 +203,47 @@ def test_exhaustive_rejects_bad_shape(d, n, colors):
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetError):
+    # the budget counts the search's nodes, one per cell colored, cell 0
+    # included: (2, 4, 2) takes 300
+    with pytest.raises(BudgetError, match=r"passed the budget of 1000 nodes"):
         exhaustive_min(2, 6, 2, budget=1000)
-    # the cap counts num_colors^(n^d) colorings, cell 0 not fixed
-    assert exhaustive_min(2, 2, 2, budget=16)[0] == 2
-    with pytest.raises(BudgetError, match=r"^2\^4 colorings exceed the budget of 15$"):
-        exhaustive_min(2, 2, 2, budget=15)
+    assert exhaustive_min(2, 4, 2, budget=300)[0] == 4
+    with pytest.raises(BudgetError, match=r"^search of d=2, n=4, num_colors=2 passed the budget of 299"):
+        exhaustive_min(2, 4, 2, budget=299)
+    # the first leaf takes one node per cell
+    with pytest.raises(BudgetError, match=r"^2\^2 cells exceed the budget of 3 nodes$"):
+        exhaustive_min(2, 2, 2, budget=3)
     for cap in (0, -3):
-        with pytest.raises(BudgetError, match="exceed the budget"):
+        with pytest.raises(BudgetError, match=r"^need a node budget >= 1"):
             exhaustive_min(1, 1, 1, budget=cap)
     assert exhaustive_min(1, 1, 1, budget=1) == (1, GridColoring(1, 1, 1, (0,)))
 
 
 def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv("CUBECOLOR_MAX_COLORINGS", "10")
-    with pytest.raises(BudgetError):
+    monkeypatch.setenv("CUBECOLOR_MAX_COLORINGS", "10")  # the old cap is not read
+    monkeypatch.setenv("CUBECOLOR_MAX_NODES", "299")
+    with pytest.raises(BudgetError, match="set CUBECOLOR_MAX_NODES to raise it"):
+        exhaustive_min(2, 4, 2)
+    monkeypatch.setenv("CUBECOLOR_MAX_NODES", "300")
+    assert exhaustive_min(2, 4, 2)[0] == 4
+    for raw in ("abc", "1e6"):
+        monkeypatch.setenv("CUBECOLOR_MAX_NODES", raw)
+        with pytest.raises(BudgetError, match="bad CUBECOLOR_MAX_NODES value"):
+            exhaustive_min(2, 2, 2)
+    monkeypatch.setenv("CUBECOLOR_MAX_NODES", "0")
+    with pytest.raises(BudgetError, match="need a node budget >= 1"):
         exhaustive_min(2, 2, 2)
-    monkeypatch.setenv("CUBECOLOR_MAX_COLORINGS", "100000")
-    assert exhaustive_min(2, 2, 2)[0] == 2
 
 
 def test_budget_guard_refuses_a_huge_grid_at_once():
-    # 3^(10^9) colorings: refused after a few dozen multiplications, not
-    # after building the power
-    with pytest.raises(BudgetError, match=r"^3\^1000000000 colorings exceed"):
+    # more cells than the 2^24 default budget: refused before the walk,
+    # and n^d is not built when it cannot fit (3^(10^9) would not finish)
+    with pytest.raises(BudgetError, match=r"^1000\^3 cells exceed the budget of 16777216 nodes$"):
         exhaustive_min(3, 1000, 3)
+    with pytest.raises(BudgetError, match=r"^3\^1000000000 cells exceed"):
+        exhaustive_min(10**9, 3, 3)
+    with pytest.raises(BudgetError, match=r"^1000000000\^1 cells exceed"):
+        exhaustive_min(1, 10**9, 2)
 
 
 def test_exhaustive_one_color_deep_grid():
