@@ -36,11 +36,20 @@ Conventions used throughout:
 
 The filling operator `fill` inverts the boundary on relative cycles of
 dimension k < d without increasing volume.  It sweeps along the first
-available axis: the cycle is cut at a generic height t chosen in a slab
-where the cross-section volume is minimal, the two halves are coned to
-the opposite facets, and the cross-section itself is filled recursively
-inside the slice cube and extruded back.  A slab midpoint between two
-lattice points doubles the cycle's denominator first.
+available axis, in one pass over the cycle per level.  The cut height t
+is the midpoint of a slab where the cross-section volume is minimal; a
+midpoint between two lattice points doubles the cycle's denominator
+first.  Each cell fixed on the axis is coned to the facet on its side of
+t, each cell whose interval straddles t gives its piece of the
+cross-section, and every other cell spans the axis and cones to nothing.
+The cross-section is filled recursively inside the slice cube and
+extruded back across the axis.
+
+Zero tests need no canonical form.  A sum of cells is zero modulo the
+cube boundary exactly when, for every set of free axes and every point,
+the signed corners of its cells off the cube boundary cancel there (a
+corner with j upper ends counts (-1)^j); `vanishes` decides it this way
+and gives the proof.
 """
 
 from __future__ import annotations
@@ -64,10 +73,6 @@ class ChainError(ValueError):
 
 class SectionError(ChainError):
     """Cut height collides with a breakpoint of the chain."""
-
-
-class ConeError(ChainError):
-    """Cone input touches the facet opposite to the sweep target."""
 
 
 class FillError(ChainError):
@@ -469,11 +474,78 @@ def boundary(c: RectChain, relative: bool = False) -> RectChain:
     return RectChain.make(c.d, c.k - 1, c.ring, raw, c.den)
 
 
+def vanishes(
+    ring: str, walls: Iterable[RectChain] = (), chains: Iterable[RectChain] = ()
+) -> bool:
+    """True when the relative boundaries of `walls` plus `chains` sum to
+    zero modulo the cube boundary, decided without building a chain.
+
+    Cells inside the cube boundary are dropped.  Every other cell adds its
+    corners over the lcm of the denominators, keyed by its free axes and
+    the corner point: a corner with j upper ends counts coef * (-1)^j.  A
+    wall cell adds the corners of its faces instead, each face with the
+    sign `boundary` gives it, except the faces in the cube boundary.  The
+    sum vanishes exactly when every count cancels, mod 2 or over Z.
+
+    Proof: a sum of k-cells is zero modulo the cube boundary when on each
+    k-plane off that boundary its coefficients cancel almost everywhere,
+    hence everywhere on half-open boxes.  On each free axis [lo, hi) is
+    H(x - lo) - H(x - hi), H the step function (1 where x >= 0), so a box
+    is the signed sum of the orthant indicators prod H(x_a - v_a) at its
+    corners v.  Those at distinct points are linearly independent over Z
+    and over GF(2): evaluate a combination at a point v componentwise
+    minimal among those with a nonzero count; the orthant at w holds v
+    only when w <= v, so the value is the count at v, not zero.
+    """
+    walls, chains = list(walls), list(chains)
+    den = math.lcm(*(c.den for c in walls), *(c.den for c in chains))
+    planes: dict[int, set | dict] = {}  # free axes as a bit mask -> corner counts
+
+    def add(mask, ends, coef, signs):
+        corners = itertools.product(*ends)
+        if ring == MOD2:  # corners of one box are distinct: toggle each
+            if coef % 2:
+                planes.setdefault(mask, set()).symmetric_difference_update(corners)
+            return
+        counts = planes.setdefault(mask, {})
+        for v, sign in zip(corners, signs, strict=True):
+            counts[v] = counts.get(v, 0) + coef * sign
+
+    for c, wall in [(c, True) for c in walls] + [(c, False) for c in chains]:
+        f = den // c.den
+        signs = [1]  # (-1)^(upper ends) of each corner of a box, or a face, in product order
+        for _ in range(c.k - 1 if wall else c.k):
+            signs = [s for t in signs for s in (t, -t)]
+        for b, coef in c.terms.items():
+            ends, mask = [], 0
+            for a, (lo, hi) in enumerate(b.extents):
+                if lo < hi:
+                    ends.append((lo * f, hi * f))
+                    mask |= 1 << a
+                elif 0 < lo < c.den:
+                    ends.append((lo * f,))
+                else:
+                    break
+            if len(ends) < len(b.extents):
+                continue  # the cell lies in the cube boundary
+            if not wall:
+                add(mask, ends, coef, signs)
+                continue
+            sign = coef
+            for a, e in enumerate(ends):
+                if len(e) == 2:
+                    for end, s in ((e[0], -sign), (e[1], sign)):
+                        if 0 < end < den:  # else the face lies in the cube boundary
+                            add(mask ^ (1 << a), ends[:a] + [(end,)] + ends[a + 1 :], s, signs)
+                    sign = -sign
+    if ring == MOD2:
+        return not any(planes.values())
+    return not any(n for counts in planes.values() for n in counts.values())
+
+
 def is_relative_cycle(z: RectChain) -> bool:
     """True when the boundary of z is supported inside the cube boundary."""
-    if z.k == 0:
-        return True
-    return boundary(z, relative=True).is_zero()
+    return vanishes(z.ring, walls=[z])
 
 
 def _axis_breakpoints(z: RectChain, axis: int) -> list[int]:
@@ -507,97 +579,11 @@ def sweep_slabs(z: RectChain, axis: int) -> list[tuple[int, int, int]]:
     return slabs
 
 
-def section_and_split(
-    z: RectChain, axis: int, t: int
-) -> tuple[RectChain, RectChain, RectChain]:
-    """Cut z at {x_axis = t / z.den}: returns (section, lower half, upper half).
-
-    t must be generic: distinct from every fixed coordinate and interval
-    endpoint of z on the axis.  The halves satisfy z = z0 + z1 and, when z
-    is a relative cycle, the relative boundaries of z0 / z1 are +/- the
-    section.  The section carries the sign (-1)^p of the cut axis'
-    position among each cell's interval axes, so those identities hold in
-    the integer ring as well.
-    """
-    if not 0 < t < z.den:
-        raise SectionError(f"cut height {Fraction(t, z.den)} outside (0,1)")
-    sec_raw, lo_raw, hi_raw = [], [], []
-    for b, coef in z.terms.items():
-        blo, bhi = b.extents[axis]
-        if blo == bhi:
-            if blo == t:
-                raise SectionError(f"cut height {Fraction(t, z.den)} hits a fixed coordinate")
-            (lo_raw if blo < t else hi_raw).append((b, coef))
-            continue
-        if t in (blo, bhi):
-            raise SectionError(f"cut height {Fraction(t, z.den)} hits an interval endpoint")
-        if bhi < t:
-            lo_raw.append((b, coef))
-        elif blo > t:
-            hi_raw.append((b, coef))
-        else:
-            p = b.interval_axes.index(axis)
-            sign = -1 if p % 2 else 1
-            sec_raw.append((b.replace(axis, t, t), coef * sign))
-            lo_raw.append((b.replace(axis, blo, t), coef))
-            hi_raw.append((b.replace(axis, t, bhi), coef))
-    z_t = RectChain.make(z.d, max(z.k - 1, 0), z.ring, sec_raw, z.den)
-    z0 = RectChain.make(z.d, z.k, z.ring, lo_raw, z.den)
-    z1 = RectChain.make(z.d, z.k, z.ring, hi_raw, z.den)
-    return z_t, z0, z1
-
-
 def _cone_sign(b: BoxCell, axis: int) -> int:
-    # position the new interval axis would take among the cell's interval axes
-    q = sum(1 for a in b.interval_axes if a < axis)
+    # (-1)^q, q the number of interval axes before `axis`: the position the
+    # axis takes among the interval axes of the cone, or has in a section
+    q = sum(1 for lo, hi in b.extents[:axis] if lo < hi)
     return -1 if q % 2 else 1
-
-
-def cone_project(y: RectChain, axis: int, side: int) -> RectChain:
-    """Sweep y to the facet {x_axis = side}, producing a (k+1)-chain.
-
-    Cells fixed at c on the axis become the interval from c to the facet;
-    cells already spanning the axis sweep to a degenerate image and are
-    dropped.  Requires that no cell of y touches the opposite facet.
-    Writing I for this operator, the exact identity
-
-        boundary(I(y)) = y - I(boundary(y))   (modulo the cube boundary)
-
-    holds in both rings with the sign conventions of this module, and the
-    volume never grows: ||I(y)|| <= ||y||.
-    """
-    if side not in (0, 1):
-        raise ChainError("side must be 0 or 1")
-    den = y.den
-    raw = []
-    for b, coef in y.terms.items():
-        lo, hi = b.extents[axis]
-        if (side == 0 and hi == den) or (side == 1 and lo == 0):
-            raise ConeError(
-                f"cell {b} touches the facet x_{axis + 1}={1 - side}; cannot sweep to {side}"
-            )
-        if lo < hi:
-            continue  # sweep direction already spanned: degenerate image
-        c = lo
-        new_lo, new_hi = (0, c) if side == 0 else (c, den)
-        if new_lo == new_hi:
-            continue
-        sign = _cone_sign(b, axis)
-        if side == 1:
-            sign = -sign
-        raw.append((b.replace(axis, new_lo, new_hi), coef * sign))
-    return RectChain.make(y.d, y.k + 1, y.ring, raw, den)
-
-
-def _extrude(w: RectChain, axis: int) -> RectChain:
-    """Extend a chain fixed on `axis` to the full interval on that axis."""
-    raw = []
-    for b, coef in w.terms.items():
-        lo, hi = b.extents[axis]
-        if lo < hi:
-            raise ChainError("extrude input must be fixed on the sweep axis")
-        raw.append((b.replace(axis, 0, w.den), coef * _cone_sign(b, axis)))
-    return RectChain.make(w.d, w.k + 1, w.ring, raw, w.den)
 
 
 def _pick_slab(z: RectChain, axis: int) -> int:
@@ -611,16 +597,41 @@ def _pick_slab(z: RectChain, axis: int) -> int:
 
 
 def _fill_rec(z: RectChain, axes: tuple[int, ...]) -> RectChain:
+    """One sweep level along axes[0] in one pass over z: a cell fixed on the
+    axis at c cones onto (0, c) below the cut t and onto (c, 1), negated,
+    above it; a cell straddling t gives its piece of the section, which is
+    filled in the slice cube and extruded; other cones are degenerate."""
     if z.is_zero():
         return RectChain.zero(z.d, z.k + 1, z.ring)
     axis = axes[0]
     t = _pick_slab(z, axis)  # over 2 * z.den: when odd, refine the lattice
     z, t = (z.rescale(2 * z.den), t) if t % 2 else (z, t // 2)
-    z_t, z0, z1 = section_and_split(z, axis, t)
-    h = cone_project(z0, axis, 0) + cone_project(z1, axis, 1)
+    den = z.den
+    section, raw = [], []
+    for b, coef in z.terms.items():
+        lo, hi = b.extents[axis]
+        if t == lo or t == hi:
+            raise SectionError(f"cut height {Fraction(t, den)} hits a breakpoint of the chain")
+        if lo == hi:
+            sign = coef * _cone_sign(b, axis)
+            if lo < t:
+                raw.append((b.replace(axis, 0, lo), sign))
+            else:
+                raw.append((b.replace(axis, lo, den), -sign))
+        elif lo < t < hi:
+            section.append((b.replace(axis, t, t), coef * _cone_sign(b, axis)))
+    z_t = RectChain.make(z.d, max(z.k - 1, 0), z.ring, section, den)
     if not z_t.is_zero():
-        h = h - _extrude(_fill_rec(z_t, axes[1:]), axis)
-    return h
+        w = _fill_rec(z_t, axes[1:])
+        den = math.lcm(den, w.den)
+        if den != z.den:
+            raw = [(b.scaled(den // z.den), cf) for b, cf in raw]
+        f = den // w.den
+        raw += [
+            (b.scaled(f).replace(axis, 0, den), -cf * _cone_sign(b, axis))
+            for b, cf in w.terms.items()
+        ]
+    return RectChain.make(z.d, z.k + 1, z.ring, raw, den)
 
 
 def fill(z: RectChain) -> RectChain:

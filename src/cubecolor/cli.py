@@ -99,8 +99,9 @@ def _fill_one(task) -> tuple[int, str]:
     seed, d, k, size, ring = task
     z = chains.random_relative_cycle(seed, d, k, size=size, ring=ring)
     h = chains.fill(z)
-    ok_boundary = chains.boundary(h, relative=True) == chains.modulo_boundary(z)
-    ok_volume = h.volume() <= chains.modulo_boundary(z).volume()
+    zr = chains.modulo_boundary(z)
+    ok_boundary = chains.boundary(h, relative=True) == zr
+    ok_volume = h.volume() <= zr.volume()
     if ok_boundary and ok_volume:
         return seed, ""
     reason = [] if ok_boundary else ["boundary mismatch"]

@@ -47,8 +47,8 @@ from .chains import (
     fill,
     fundamental_chain,
     is_relative_cycle,
-    modulo_boundary,
     union_normalize,
+    vanishes,
 )
 from .gridcolor import GridColoring
 
@@ -449,8 +449,8 @@ def skeleton_volumes(chain: RectChain) -> list[Fraction]:
     object in this pipeline: faces supported inside a facet of the cube
     are dropped.
 
-    One relative boundary is taken (the audit hands over the one its eq2
-    check takes) and every level is built once from the one above it.
+    One relative boundary is taken and every level is built once from the
+    one above it.
     The pairs of a level come from chains.contacts over its pieces, and
     only pieces whose sets of fixed axes differ count: two pieces fixed on
     the same axes either share their plane (coflat, no bend between them)
@@ -458,12 +458,7 @@ def skeleton_volumes(chain: RectChain) -> list[Fraction]:
     overlap only in measure zero, so their volumes add up exactly.
     """
     # only the relative skeleton obeys g(d,k): a clipped cell's absolute one exceeds it
-    return _skeleton_volumes(chain, boundary(chain, relative=True))
-
-
-def _skeleton_volumes(chain: RectChain, walls: RectChain) -> list[Fraction]:
-    """skeleton_volumes(chain), given its relative boundary `walls`, which
-    the audit has already taken for eq2."""
+    walls = boundary(chain, relative=True)
     # exact without a union at k = 1: the pieces are the cells of a
     # canonical chain, disjoint within a plane, and distinct planes meet in
     # measure zero; deeper levels come out of union_normalize, and at k = d
@@ -502,15 +497,10 @@ def assemble_and_audit(
     # intersection boundary relation, level by level; mod 2 a relation
     # holds when its two sides sum to zero off the cube boundary
     eq2_ok = True
-    walls: dict[int, RectChain] = {}  # each part's relative boundary, for the skeleton
     for k in range(0, nrv.max_dim + 1):
         for s in nrv.simplices.get(k, []):
-            wall = boundary(nrv.faces[s], relative=True)
-            if k == 0:
-                walls[s[0]] = wall
             rhs = [nrv.faces[t] for t in nrv.cofaces.get(s, [])]
-            residual = RectChain.sum(d, d - k - 1, MOD2, [wall, *rhs])
-            if not modulo_boundary(residual).is_zero():
+            if not vanishes(MOD2, walls=[nrv.faces[s]], chains=rhs):
                 eq2_ok = False
                 failures.append(f"boundary decomposition fails at simplex {s}")
 
@@ -518,10 +508,7 @@ def assemble_and_audit(
     eq3_ok = True
     for s, f_chain in fillings.items():
         rhs = [nrv.faces[s], *(fillings[t] for t in nrv.cofaces.get(s, []))]
-        residual = RectChain.sum(
-            d, d - len(s) + 1, MOD2, [boundary(f_chain, relative=True), *rhs]
-        )
-        if not modulo_boundary(residual).is_zero():
+        if not vanishes(MOD2, walls=[f_chain], chains=rhs):
             eq3_ok = False
             failures.append(f"contraction relation fails at simplex {s}")
 
@@ -534,7 +521,7 @@ def assemble_and_audit(
             dXi_zero = False
             failures.append(f"X_{p.id} is not a relative cycle")
 
-    sum_is_Q = RectChain.sum(d, d, MOD2, X_chains) == fundamental_chain(d, MOD2)
+    sum_is_Q = vanishes(MOD2, chains=[*X_chains, fundamental_chain(d, MOD2)])
     if not sum_is_Q:
         failures.append("the X_i do not sum to the fundamental class of the cube")
 
@@ -575,7 +562,7 @@ def assemble_and_audit(
     g_ok = True
     if check_skeleton:
         for p in parts:
-            volumes = _skeleton_volumes(nrv.faces[(p.id,)], walls[p.id])
+            volumes = skeleton_volumes(nrv.faces[(p.id,)])
             for k in range(1, d + 1):
                 skel = volumes[k]
                 bnd = g_constant(d, k) * p.volume * Fraction(n) ** k

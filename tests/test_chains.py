@@ -1,4 +1,4 @@
-"""Exact chain algebra: boundary, volume, sections, cones, filling."""
+"""Exact chain algebra: boundary, volume, zero tests, sections, cones, filling."""
 
 import hashlib
 import itertools
@@ -16,7 +16,6 @@ from cubecolor.chains import (
     MOD2,
     BoxCell,
     ChainError,
-    ConeError,
     FillError,
     RectChain,
     SectionError,
@@ -26,7 +25,6 @@ from cubecolor.chains import (
     _pick_slab,
     _reduce_coef,
     boundary,
-    cone_project,
     contacts,
     dumps_chain,
     fill,
@@ -35,9 +33,9 @@ from cubecolor.chains import (
     lattice_cells,
     modulo_boundary,
     random_relative_cycle,
-    section_and_split,
     sweep_slabs,
     union_normalize,
+    vanishes,
     volume,
 )
 
@@ -517,6 +515,98 @@ def test_union_normalize_matches_old_splitter(family):
     assert set(new) == set(old_union_normalize(boxes))
 
 
+# ----------------------------------------------------------- zero tests
+
+
+def raw_chain(d, k, ring, terms, factor=1):
+    """A chain that holds the (Fraction box, coefficient) terms as given,
+    not canonical (boxes may overlap), over their lcm times `factor`."""
+    den, cells = lattice_cells([box for box, _ in terms])
+    held = {}
+    for c, (_, cf) in zip(cells, terms):
+        held[c.scaled(factor)] = held.get(c.scaled(factor), 0) + cf
+    return RectChain(d, k, ring, held, den * factor)
+
+
+@st.composite
+def zero_test_cases(draw):
+    """(ring, d, k, walls, chains): (k+1)-chains `walls` and k-chains
+    `chains`, raw or canonical, over mixed denominators, with cells in the
+    facets of the cube, 0-chains and zero chains among them.  Often the
+    chains hold the negated relative boundaries of the walls, cut in two,
+    so that with the extra chain drawn last the sum may vanish."""
+    ring = draw(st.sampled_from([MOD2, INTEGER]))
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+
+    def chain(j, facet=False):
+        planes = list(itertools.combinations(range(d), j))
+        boxes = [draw_box(draw, d, planes) for _ in range(draw(st.integers(1, 4)))]
+        if facet:  # move the first fixed axis of each box onto a facet
+            moved = []
+            for box in boxes:
+                a = next(a for a, (lo, hi) in enumerate(box) if lo == hi)
+                v = draw(st.sampled_from([F(0), F(1)]))
+                moved.append(box[:a] + ((v, v),) + box[a + 1 :])
+            boxes = moved
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=len(boxes), max_size=len(boxes)))
+        c = raw_chain(d, j, ring, list(zip(boxes, coefs)), draw(st.sampled_from([1, 2, 3])))
+        return c if draw(st.booleans()) else RectChain.make(d, j, ring, c.terms.items(), c.den)
+
+    walls = [chain(k + 1) for _ in range(draw(st.integers(0, 2)))] if k < d else []
+    chains = []
+    if draw(st.booleans()):
+        for w in walls:
+            neg = -boundary(w, relative=True)
+            terms = list(neg.terms.items())
+            cut = draw(st.integers(0, len(terms)))
+            for part in (terms[:cut], terms[cut:]):
+                factor = draw(st.sampled_from([1, 2, 5]))
+                chains.append(RectChain(d, k, ring, dict(part), neg.den).rescale(neg.den * factor))
+    extra = draw(st.sampled_from(["none", "zero", "facet", "pair", "random"]))
+    if extra == "zero":
+        chains.append(RectChain.zero(d, k, ring))
+    elif extra == "facet" and k < d:
+        chains.append(chain(k, facet=True))
+    elif extra == "pair":
+        c = chain(k)
+        chains += [c, (-c).rescale(2 * c.den)]
+    elif extra == "random":
+        chains.append(chain(k))
+    return ring, d, k, walls, draw(st.permutations(chains))
+
+
+@given(case=zero_test_cases())
+@settings(max_examples=400, deadline=None)
+def test_vanishes_matches_the_canonical_sum(case):
+    ring, d, k, walls, chains = case
+    total = RectChain.sum(d, k, ring, [boundary(w, relative=True) for w in walls] + chains)
+    assert vanishes(ring, walls, chains) == modulo_boundary(total).is_zero()
+
+
+def test_vanishes_examples():
+    square = chain_of((("1/4", "1/2"), ("1/4", "1/2")), ring=INTEGER)
+    wall = boundary(square, relative=True)
+    assert not vanishes(INTEGER, walls=[square])
+    assert not vanishes(INTEGER, walls=[square], chains=[wall])  # twice the wall
+    assert vanishes(INTEGER, walls=[square], chains=[(-wall).rescale(12)])
+    assert vanishes(MOD2, walls=[square], chains=[wall.rescale(12)])
+    # the edges of a corner square on x_1 = 0 and x_2 = 0 lie in the cube boundary
+    corner = chain_of(((0, "1/2"), (0, "1/2")))
+    edges = chain_of(("1/2", (0, "1/2")), ((0, "1/2"), "1/2"))
+    assert vanishes(MOD2, walls=[corner], chains=[edges])
+    # a chain inside the cube boundary vanishes, and so do its faces
+    facet = chain_of((0, ("1/3", 1)), ring=INTEGER)
+    assert vanishes(INTEGER, walls=[facet], chains=[facet])
+    # points: twice a point cancels mod 2 only; a 0-chain has no faces
+    two = RectChain(2, 0, INTEGER, {BoxCell([1, 1]): 2}, 3)
+    assert not vanishes(INTEGER, chains=[two])
+    assert vanishes(MOD2, chains=[two])
+    assert vanishes(INTEGER, walls=[two])
+    assert is_relative_cycle(two)
+    assert vanishes(INTEGER)  # the empty sum
+
+
 @st.composite
 def plane_members(draw, ring):
     """(key, members): cells of one plane with k = 1..4 free axes in
@@ -725,6 +815,127 @@ def test_volume_examples():
 
 
 # ------------------------------------------------------ section / split
+#
+# The sweep as `fill` composed it before each level became one pass over
+# the cycle: cut into a section and two halves, cone the halves onto
+# opposite facets, extrude the filled section.  These operators are the
+# oracle for the one-pass kernel, and their identities are checked here.
+
+
+class ConeError(ChainError):
+    """Cone input touches the facet opposite to the sweep target."""
+
+
+def old_cone_sign(b, axis):
+    # position the new interval axis would take among the cell's interval axes
+    q = sum(1 for a in b.interval_axes if a < axis)
+    return -1 if q % 2 else 1
+
+
+def section_and_split(z, axis, t):
+    """Cut z at {x_axis = t / z.den}: returns (section, lower half, upper half).
+
+    t must be generic: distinct from every fixed coordinate and interval
+    endpoint of z on the axis.  The halves satisfy z = z0 + z1 and, when z
+    is a relative cycle, the relative boundaries of z0 / z1 are +/- the
+    section.  The section carries the sign (-1)^p of the cut axis'
+    position among each cell's interval axes, so those identities hold in
+    the integer ring as well.
+    """
+    if not 0 < t < z.den:
+        raise SectionError(f"cut height {F(t, z.den)} outside (0,1)")
+    sec_raw, lo_raw, hi_raw = [], [], []
+    for b, coef in z.terms.items():
+        blo, bhi = b.extents[axis]
+        if blo == bhi:
+            if blo == t:
+                raise SectionError(f"cut height {F(t, z.den)} hits a fixed coordinate")
+            (lo_raw if blo < t else hi_raw).append((b, coef))
+            continue
+        if t in (blo, bhi):
+            raise SectionError(f"cut height {F(t, z.den)} hits an interval endpoint")
+        if bhi < t:
+            lo_raw.append((b, coef))
+        elif blo > t:
+            hi_raw.append((b, coef))
+        else:
+            p = b.interval_axes.index(axis)
+            sign = -1 if p % 2 else 1
+            sec_raw.append((b.replace(axis, t, t), coef * sign))
+            lo_raw.append((b.replace(axis, blo, t), coef))
+            hi_raw.append((b.replace(axis, t, bhi), coef))
+    z_t = RectChain.make(z.d, max(z.k - 1, 0), z.ring, sec_raw, z.den)
+    z0 = RectChain.make(z.d, z.k, z.ring, lo_raw, z.den)
+    z1 = RectChain.make(z.d, z.k, z.ring, hi_raw, z.den)
+    return z_t, z0, z1
+
+
+def cone_project(y, axis, side):
+    """Sweep y to the facet {x_axis = side}, producing a (k+1)-chain.
+
+    Cells fixed at c on the axis become the interval from c to the facet;
+    cells already spanning the axis sweep to a degenerate image and are
+    dropped.  Requires that no cell of y touches the opposite facet.
+    Writing I for this operator, the exact identity
+
+        boundary(I(y)) = y - I(boundary(y))   (modulo the cube boundary)
+
+    holds in both rings with the sign conventions of chains, and the
+    volume never grows: ||I(y)|| <= ||y||.
+    """
+    if side not in (0, 1):
+        raise ChainError("side must be 0 or 1")
+    den = y.den
+    raw = []
+    for b, coef in y.terms.items():
+        lo, hi = b.extents[axis]
+        if (side == 0 and hi == den) or (side == 1 and lo == 0):
+            raise ConeError(
+                f"cell {b} touches the facet x_{axis + 1}={1 - side}; cannot sweep to {side}"
+            )
+        if lo < hi:
+            continue  # sweep direction already spanned: degenerate image
+        c = lo
+        new_lo, new_hi = (0, c) if side == 0 else (c, den)
+        if new_lo == new_hi:
+            continue
+        sign = old_cone_sign(b, axis)
+        if side == 1:
+            sign = -sign
+        raw.append((b.replace(axis, new_lo, new_hi), coef * sign))
+    return RectChain.make(y.d, y.k + 1, y.ring, raw, den)
+
+
+def old_extrude(w, axis):
+    """Extend a chain fixed on `axis` to the full interval on that axis."""
+    raw = []
+    for b, coef in w.terms.items():
+        lo, hi = b.extents[axis]
+        if lo < hi:
+            raise ChainError("extrude input must be fixed on the sweep axis")
+        raw.append((b.replace(axis, 0, w.den), coef * old_cone_sign(b, axis)))
+    return RectChain.make(w.d, w.k + 1, w.ring, raw, w.den)
+
+
+def old_fill_rec(z, axes, levels):
+    """One level of the composed sweep; appends (level, refined) to
+    `levels` for each level that cuts, refined when its midpoint was odd."""
+    if z.is_zero():
+        return RectChain.zero(z.d, z.k + 1, z.ring)
+    axis = axes[0]
+    t = _pick_slab(z, axis)
+    levels.append((z.d - len(axes), t % 2 == 1))
+    z, t = (z.rescale(2 * z.den), t) if t % 2 else (z, t // 2)
+    z_t, z0, z1 = section_and_split(z, axis, t)
+    h = cone_project(z0, axis, 0) + cone_project(z1, axis, 1)
+    if not z_t.is_zero():
+        h = h - old_extrude(old_fill_rec(z_t, axes[1:], levels), axis)
+    return h
+
+
+def old_fill(z, levels):
+    """fill of a relative cycle as the composed sweep computed it."""
+    return old_fill_rec(modulo_boundary(z), tuple(range(z.d)), levels)
 
 
 def test_section_no_crossing():
@@ -933,6 +1144,60 @@ def test_fill_matches_stored_fixture(key):
     assert hashlib.sha256(dumps_chain(h).encode("utf-8")).hexdigest() == want["sha256"]
     assert str(modulo_boundary(z).volume()) == want["z_volume"]
     assert str(h.volume()) == want["h_volume"]
+
+
+def spanning_box(d, k, ring, notch=None):
+    """A (k+1)-box spanning [0, 1] on the first k axes, or [1/6, 1] on the
+    axis `notch`.  Each section of its relative boundary spans the next
+    axis, so the sweep cuts k+1 levels, each over the whole axis, and the
+    first cut off the lattice is at level k, or at the notch."""
+    last = ("1/6", "1/3") if notch is None else ("1/2", "5/6")  # apart: nothing cancels
+    spec = [(0, 1)] * k + [last] + ["1/2"] * (d - k - 1)
+    if notch is not None:
+        spec[notch] = ("1/6", 1)
+    return chain_from(d, k + 1, ring, [(spec, 1 if ring == MOD2 else 2)])
+
+
+def assert_fill_matches_composed_sweep(z, levels):
+    got, want = fill(z), old_fill(z, levels)
+    assert dumps_chain(got) == dumps_chain(want)
+    assert got.den == want.den
+
+
+@st.composite
+def cycle_shapes(draw):
+    """(d, k, size, seed) for random_relative_cycle, d = 1..5, every k < d."""
+    d = draw(st.integers(1, 5))
+    return d, draw(st.integers(0, d - 1)), draw(st.integers(1, 4)), draw(st.integers(0, 10**6))
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER])
+@given(shape=cycle_shapes())
+@settings(max_examples=200, deadline=None)
+def test_fill_matches_the_composed_sweep(ring, shape):
+    d, k, size, seed = shape
+    assert_fill_matches_composed_sweep(random_relative_cycle(seed, d, k, size, ring), [])
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER])
+def test_fill_matches_the_composed_sweep_on_every_level(ring):
+    # a random cycle seldom cuts past its second level, since the slab of
+    # least section is mostly empty, and it refines the lattice at most
+    # once: a refined lattice puts every later breakpoint on even numerators
+    levels = []
+    for d in range(1, 6):
+        for k in range(d):
+            wall = boundary(spanning_box(d, k, ring), relative=True)
+            assert_fill_matches_composed_sweep(wall, levels)
+            for seed in range(4):
+                z = random_relative_cycle(seed, d, k, 1 + seed, ring)
+                assert_fill_matches_composed_sweep(z, levels)
+                assert_fill_matches_composed_sweep(z + wall, levels)
+            for notch in range(k):
+                box = spanning_box(d, k, ring) + spanning_box(d, k, ring, notch)
+                assert_fill_matches_composed_sweep(boundary(box, relative=True), levels)
+    assert {level for level, _ in levels} == set(range(5))
+    assert {level for level, refined in levels if refined} == set(range(5))
 
 
 # ------------------------------------------------------------ lattices

@@ -19,6 +19,7 @@ from cubecolor.chains import (
     boundary,
     contacts,
     fill,
+    is_relative_cycle,
     lattice_cells,
     modulo_boundary,
     union_normalize,
@@ -846,6 +847,48 @@ def test_eq2_eq3_failures_match_the_comparing_audit(d, n, seed):
         got = [f for f in rep.failures if "boundary decomposition" in f or "relation fails" in f]
         assert got == comparing_audit_failures(bad_nrv, bad_fillings, d)
         assert bool(got) == bool(corrupted)
+
+
+@pytest.mark.parametrize("d,n,seed", [(2, 4, 0), (2, 5, 2), (3, 3, 0)])
+def test_audit_names_the_simplex_of_a_dropped_or_shrunk_cell(d, n, seed):
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    parts = mono_parts(p, random_coloring(d, n, 3, seed))
+    nrv = nerve(p, parts)
+    fillings = contraction(nrv)
+
+    def audit(bad_nrv, bad_fillings):
+        return assemble_and_audit(parts, bad_nrv, bad_fillings, n=n, m=2, check_skeleton=False)
+
+    # a filling without one of its cells: that cell's relative boundary is
+    # left over in the contraction relation at the simplex (a cell that
+    # spans the cube on each of its axes has none)
+    dropped_at = []
+    for s, f in fillings.items():
+        cells = (b for b in f.terms if not is_relative_cycle(RectChain(d, f.k, MOD2, {b: 1}, f.den)))
+        b = next(cells, None)
+        if b is None:
+            continue
+        dropped_at.append(s)
+        dropped = RectChain(d, f.k, MOD2, {c: 1 for c in f.terms if c != b}, f.den)
+        rep = audit(nrv, {**fillings, s: dropped})
+        assert not rep.eq3_ok
+        assert f"contraction relation fails at simplex {s}" in rep.failures
+    assert {len(s) for s in dropped_at} == {len(s) for s in fillings}
+    # a face with one cell cut short on its first free axis: the sliver's
+    # relative boundary is left over in the boundary relation at the simplex
+    for s, face in nrv.faces.items():
+        if face.k == 0:
+            continue
+        fine = face.rescale(2 * face.den)
+        b = next(b for b in fine.terms if not b.in_cube_boundary(fine.den))
+        a = b.interval_axes[0]
+        lo, hi = b.extents[a]
+        terms = {c: 1 for c in fine.terms if c != b}
+        terms[b.replace(a, lo, hi - 1)] = 1
+        shrunk = RectChain(d, face.k, MOD2, terms, fine.den)
+        rep = audit(dataclasses.replace(nrv, faces={**nrv.faces, s: shrunk}), fillings)
+        assert not rep.eq2_ok
+        assert f"boundary decomposition fails at simplex {s}" in rep.failures
 
 
 def test_pipeline_cells_hold_ints():
