@@ -117,10 +117,6 @@ class BoxCell:
     def k(self) -> int:
         return sum(1 for lo, hi in self.extents if lo < hi)
 
-    @property
-    def interval_axes(self) -> tuple[int, ...]:
-        return tuple(a for a, (lo, hi) in enumerate(self.extents) if lo < hi)
-
     def plane_key(self):
         """Fixed coordinates, None on interval axes; identifies the affine plane."""
         return tuple([None if lo < hi else lo for lo, hi in self.extents])
@@ -427,11 +423,6 @@ class RectChain:
         return f"RectChain(d={self.d}, k={self.k}, {len(self.terms)} cells, vol={self.volume()})"
 
 
-def volume(c: RectChain) -> Fraction:
-    """Total k-volume: sum of |coefficient| times cell volume."""
-    return c.volume()
-
-
 def fundamental_chain(d: int, ring: str = MOD2) -> RectChain:
     """The d-chain covering the cube once."""
     return RectChain.make(d, d, ring, [(BoxCell([(0, 1)] * d), 1)], 1)
@@ -483,9 +474,17 @@ def vanishes(
     Cells inside the cube boundary are dropped.  Every other cell adds its
     corners over the lcm of the denominators, keyed by its free axes and
     the corner point: a corner with j upper ends counts coef * (-1)^j.  A
-    wall cell adds the corners of its faces instead, each face with the
-    sign `boundary` gives it, except the faces in the cube boundary.  The
-    sum vanishes exactly when every count cancels, mod 2 or over Z.
+    wall cell adds the corners of its faces instead, except the faces in
+    the cube boundary.  Its two faces across its p-th free axis a lie on
+    one plane and together hold all of its corners; with the signs
+    `boundary` gives them, a corner with j upper ends counts
+    -coef * (-1)^(p+j) there on either face.  That is -(-1)^p times the
+    cell's own count at the corner, and p depends only on the free axes.
+    So the walls' own corner counts are summed first, per set of free
+    axes, and each sum goes once to the plane of each free axis a, times
+    -(-1)^p, keeping the points strictly inside (0, 1) on a: the faces
+    through the others lie in the cube boundary.  The sum vanishes
+    exactly when every count cancels, mod 2 or over Z.
 
     Proof: a sum of k-cells is zero modulo the cube boundary when on each
     k-plane off that boundary its coefficients cancel almost everywhere,
@@ -499,22 +498,23 @@ def vanishes(
     """
     walls, chains = list(walls), list(chains)
     den = math.lcm(*(c.den for c in walls), *(c.den for c in chains))
-    planes: dict[int, set | dict] = {}  # free axes as a bit mask -> corner counts
+    # free axes as a bit mask -> corner counts: of the walls' own cells, and of the sum
+    own: dict[int, set | dict] = {}
+    planes: dict[int, set | dict] = {}
 
-    def add(mask, ends, coef, signs):
-        corners = itertools.product(*ends)
+    def add(into, mask, corners, coef, signs):
         if ring == MOD2:  # corners of one box are distinct: toggle each
             if coef % 2:
-                planes.setdefault(mask, set()).symmetric_difference_update(corners)
+                into.setdefault(mask, set()).symmetric_difference_update(corners)
             return
-        counts = planes.setdefault(mask, {})
+        counts = into.setdefault(mask, {})
         for v, sign in zip(corners, signs, strict=True):
             counts[v] = counts.get(v, 0) + coef * sign
 
-    for c, wall in [(c, True) for c in walls] + [(c, False) for c in chains]:
+    for c, into in [(c, own) for c in walls] + [(c, planes) for c in chains]:
         f = den // c.den
-        signs = [1]  # (-1)^(upper ends) of each corner of a box, or a face, in product order
-        for _ in range(c.k - 1 if wall else c.k):
+        signs = [1]  # (-1)^(upper ends) of each corner of a cell, in product order
+        for _ in range(c.k):
             signs = [s for t in signs for s in (t, -t)]
         for b, coef in c.terms.items():
             ends, mask = [], 0
@@ -528,16 +528,15 @@ def vanishes(
                     break
             if len(ends) < len(b.extents):
                 continue  # the cell lies in the cube boundary
-            if not wall:
-                add(mask, ends, coef, signs)
-                continue
-            sign = coef
-            for a, e in enumerate(ends):
-                if len(e) == 2:
-                    for end, s in ((e[0], -sign), (e[1], sign)):
-                        if 0 < end < den:  # else the face lies in the cube boundary
-                            add(mask ^ (1 << a), ends[:a] + [(end,)] + ends[a + 1 :], s, signs)
-                    sign = -sign
+            add(into, mask, itertools.product(*ends), coef, signs)
+    for mask, counts in own.items():
+        sign = -1  # -(-1)^p across the p-th free axis
+        for a in range(mask.bit_length()):
+            if mask >> a & 1:
+                kept = [v for v in counts if 0 < v[a] < den]
+                weights = None if ring == MOD2 else [counts[v] for v in kept]
+                add(planes, mask ^ (1 << a), kept, sign, weights)
+                sign = -sign
     if ring == MOD2:
         return not any(planes.values())
     return not any(n for counts in planes.values() for n in counts.values())
@@ -565,16 +564,21 @@ def sweep_slabs(z: RectChain, axis: int) -> list[tuple[int, int, int]]:
     The section at height t inside a slab consists of the cells with an
     interval on `axis` containing the slab, each contributing its
     (k-1)-volume.  Integrating section volume over t recovers exactly the
-    volume of the part of z parallel to the axis.
+    volume of the part of z parallel to the axis.  Each such cell adds its
+    section weight at its low end and takes it off at its high end, so
+    one running sum over the breakpoints gives every slab.
     """
+    steps: dict[int, int] = {}
+    for b, cf in z.terms.items():
+        lo, hi = b.extents[axis]
+        if lo < hi:
+            w = abs(cf) * (b.volume() // (hi - lo))
+            steps[lo] = steps.get(lo, 0) + w
+            steps[hi] = steps.get(hi, 0) - w
     pts = _axis_breakpoints(z, axis)
-    slabs = []
+    slabs, sec = [], 0
     for lo, hi in zip(pts, pts[1:]):
-        sec = 0
-        for b, cf in z.terms.items():
-            blo, bhi = b.extents[axis]
-            if blo < bhi and blo <= lo and hi <= bhi:
-                sec += abs(cf) * (b.volume() // (bhi - blo))
+        sec += steps.get(lo, 0)
         slabs.append((lo, hi, sec))
     return slabs
 

@@ -447,38 +447,103 @@ def skeleton_volumes(chain: RectChain) -> list[Fraction]:
 
     The skeleton is taken relative to the cube boundary, like every other
     object in this pipeline: faces supported inside a facet of the cube
-    are dropped.
-
-    One relative boundary is taken and every level is built once from the
-    one above it.
-    The pairs of a level come from chains.contacts over its pieces, and
-    only pieces whose sets of fixed axes differ count: two pieces fixed on
-    the same axes either share their plane (coflat, no bend between them)
-    or differ in a fixed coordinate and are disjoint.  Each level's pieces
-    overlap only in measure zero, so their volumes add up exactly.
+    are dropped.  Its walls are the cells of the relative boundary; the
+    audit hands `_skeleton` the walls the nerve built instead.
     """
     # only the relative skeleton obeys g(d,k): a clipped cell's absolute one exceeds it
-    walls = boundary(chain, relative=True)
-    # exact without a union at k = 1: the pieces are the cells of a
-    # canonical chain, disjoint within a plane, and distinct planes meet in
-    # measure zero; deeper levels come out of union_normalize, and at k = d
-    # the pieces are points, each counted once.
-    # Relative needs no check below k = 1: a fixed coordinate of a deeper
-    # piece is either one of a k = 1 piece, or a point where one interval
-    # ends and another starts, which lies strictly inside (0, 1).
-    den = chain.den
-    pieces = list(walls.terms)
-    volumes = [chain.volume(), Fraction(sum(b.volume() for b in pieces), den ** (chain.d - 1))]
-    for target in range(chain.d - 2, -1, -1):
-        patterns = [tuple(lo == hi for lo, hi in b.extents) for b in pieces]
-        found = (
-            x
-            for i, j, x in contacts(pieces)
-            if patterns[i] != patterns[j] and x.k == target
-        )
+    walls = list(boundary(chain, relative=True).terms)
+    return [chain.volume(), *_skeleton(walls, chain.d, chain.den)]
+
+
+def _skeleton(walls: list[BoxCell], d: int, den: int) -> list[Fraction]:
+    """Volumes of the codimension-k skeleton, k = 1..d, of a d-region whose
+    relative boundary is the union of the (d-1)-cells `walls`, over `den`.
+
+    The walls must overlap only in measure zero; then their volumes add up
+    exactly at k = 1.  Every deeper level is built once from the one above
+    it by `_bends`, and comes out of union_normalize, so it depends only
+    on the set the walls cover, not on how they cut it; at k = d the
+    pieces are points, each counted once.  Relative needs no check below
+    k = 1: every fixed coordinate of a deeper piece is the fixed coordinate
+    of a wall, which lies strictly inside (0, 1), as no wall lies in the
+    cube boundary.
+    """
+    pieces = walls
+    volumes = [Fraction(sum(b.volume() for b in pieces), den ** (d - 1))]
+    for target in range(d - 2, -1, -1):
+        found = _bends(pieces)
         pieces = list(dict.fromkeys(found)) if target == 0 else union_normalize(found)
         volumes.append(Fraction(sum(b.volume() for b in pieces), den**target))
     return volumes
+
+
+def _bends(pieces: list[BoxCell]) -> list[BoxCell]:
+    """The intersections of dimension k-1 of the pairs of k-pieces that
+    lie on different planes, each pair once.
+
+    Two pieces fixed on the same axes are coflat, which do not bend, or
+    apart on a fixed coordinate.  Otherwise call their patterns (sets of
+    fixed axes) P and Q.  The free axes of the intersection lie among the
+    k - |free(P) minus free(Q)| free axes the two share, so dimension k-1
+    needs exactly one axis `a` that P spans and Q fixes; as both span k
+    axes, there is then exactly one axis `b` that Q spans and P fixes.
+    Closed boxes meet exactly when their intervals meet on every axis:
+    the shared fixed coordinates are equal, Q's coordinate on `a` lies in
+    P's interval there, P's coordinate on `b` lies in Q's interval, and
+    the shared free intervals meet, each with positive length for the
+    intersection to keep dimension k-1.
+
+    So per pattern pair Q's pieces are keyed on their shared fixed
+    coordinates and sorted on `a`, and each P piece bisects its interval
+    on `a` into its key's list; the remaining conditions are tested on
+    what the bisect returns.  The bisect cannot be a scan of the key's
+    list: at d = 3 the walls' pattern pairs share no fixed axis, so one
+    key holds every piece of a plane orientation.
+    """
+    from bisect import bisect_left, bisect_right
+
+    d = pieces[0].d if pieces else 0
+    by_mask: dict[int, list[tuple]] = {}
+    for c in pieces:
+        mask = sum(1 << x for x, (lo, hi) in enumerate(c.extents) if lo < hi)
+        by_mask.setdefault(mask, []).append(c.extents)
+    out = []
+    masks = sorted(by_mask)
+    for p, q in [(p, q) for i, p in enumerate(masks) for q in masks[i + 1 :]]:
+        only_p, only_q = p & ~q, q & ~p
+        if only_p & (only_p - 1):  # more than one axis each way: too thin
+            continue
+        a, b = only_p.bit_length() - 1, only_q.bit_length() - 1
+        fixed = [x for x in range(d) if not (p | q) >> x & 1]
+        shared = [x for x in range(d) if (p & q) >> x & 1]
+        index: dict[tuple, tuple[list, list]] = {}  # shared fixed coordinates -> Q sorted on a
+        for eq in sorted(by_mask[q], key=lambda e: e[a][0]):
+            coords, members = index.setdefault(tuple([eq[x][0] for x in fixed]), ([], []))
+            coords.append(eq[a][0])
+            members.append(eq)
+        for ep in by_mask[p]:
+            found = index.get(tuple([ep[x][0] for x in fixed]))
+            if found is None:
+                continue
+            coords, members = found
+            lo, hi = ep[a]
+            at = ep[b][0]
+            for eq in members[bisect_left(coords, lo) : bisect_right(coords, hi)]:
+                blo, bhi = eq[b]
+                if not blo <= at <= bhi:
+                    continue
+                ext = list(ep)  # already P's fixed coordinates, `b` included
+                ext[a] = eq[a]
+                for x in shared:
+                    (plo, phi), (qlo, qhi) = ep[x], eq[x]
+                    xlo = plo if plo > qlo else qlo
+                    xhi = phi if phi < qhi else qhi
+                    if xlo >= xhi:
+                        break
+                    ext[x] = (xlo, xhi)
+                else:
+                    out.append(BoxCell._from_valid(tuple(ext)))
+    return out
 
 
 def assemble_and_audit(
@@ -490,7 +555,19 @@ def assemble_and_audit(
     check_skeleton: bool = True,
 ) -> AuditReport:
     """Assemble the per-part cycles and audit every exact identity and
-    volume bound; every failure is listed in the report."""
+    volume bound; every failure is listed in the report.
+
+    The skeleton of part i takes as walls the cells of its pair faces
+    F(i, j), which the nerve already built, instead of a boundary of C_i.
+    eq2 at (i,), checked in the same report, says that these faces sum to
+    the boundary of C_i mod 2, modulo the cube boundary.  Faces of
+    distinct pairs meet only in measure zero: a (d-1)-piece common to
+    three cells of a tiling would leave one of them overlapping another.
+    So the sum covers exactly the union of their cells, and that union is
+    the region's relative boundary, the set `skeleton_volumes` takes its
+    walls from; each level below depends only on that set.  Where eq2
+    fails, the report has failed already.
+    """
     d = parts[0].boxes[0].d
     failures: list[str] = []
 
@@ -562,9 +639,8 @@ def assemble_and_audit(
     g_ok = True
     if check_skeleton:
         for p in parts:
-            volumes = skeleton_volumes(nrv.faces[(p.id,)])
-            for k in range(1, d + 1):
-                skel = volumes[k]
+            walls = [c for t in nrv.cofaces.get((p.id,), []) for c in nrv.faces[t].terms]
+            for k, skel in enumerate(_skeleton(walls, d, p.den), start=1):
                 bnd = g_constant(d, k) * p.volume * Fraction(n) ** k
                 ok = skel <= bnd
                 g_rows.append(

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -36,11 +37,15 @@ from cubecolor.chains import (
     sweep_slabs,
     union_normalize,
     vanishes,
-    volume,
 )
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def interval_axes(box):
+    """The axes on which a cell spans an interval, in increasing order."""
+    return tuple(a for a, (lo, hi) in enumerate(box.extents) if lo < hi)
 
 
 def chain_from(d, k, ring, raw):
@@ -117,7 +122,7 @@ def test_cell_basic_properties():
     assert b == BoxCell([(0, 6), 3, (4, 12)])
     assert b.d == 3
     assert b.k == 2
-    assert b.interval_axes == (0, 2)
+    assert b.plane_key() == (None, 3, None)
     assert F(b.volume(), den**b.k) == F(1, 2) * F(2, 3)
     assert not b.in_cube_boundary(den)
     assert BoxCell([0, (0, 1)]).in_cube_boundary(1)
@@ -159,7 +164,7 @@ def test_absolute_boundary_four_edges_volume_one():
     B = chain_of((("1/4", "1/2"), ("1/4", "1/2")))
     dB = boundary(B)
     assert len(dB) == 4
-    assert volume(dB) == 1
+    assert dB.volume() == 1
 
 
 @pytest.mark.parametrize("ring", [MOD2, INTEGER])
@@ -203,7 +208,7 @@ def test_canonicalization_idempotent(seed):
     c = random_chain(seed, d=3, k=2, size=4)
     again = RectChain.make(c.d, c.k, c.ring, list(c.terms.items()), c.den)
     assert again.terms == c.terms  # already-canonical input is a fixed point
-    assert volume(again) == volume(c)
+    assert again.volume() == c.volume()
 
 
 def plane_key(box):
@@ -445,7 +450,7 @@ def old_relative_boundary(c):
     the cell: every face is built, then dropped if it lies in a facet."""
     raw = []
     for b, coef in c.terms.items():
-        for p, axis in enumerate(b.interval_axes):
+        for p, axis in enumerate(interval_axes(b)):
             lo, hi = b.extents[axis]
             sign = -1 if p % 2 else 1
             for face, s in ((b.replace(axis, hi, hi), sign), (b.replace(axis, lo, lo), -sign)):
@@ -605,6 +610,64 @@ def test_vanishes_examples():
     assert vanishes(INTEGER, walls=[two])
     assert is_relative_cycle(two)
     assert vanishes(INTEGER)  # the empty sum
+
+
+def old_vanishes(ring, walls=(), chains=()):
+    """Oracle: `vanishes` as it was before a cell's corners were built once,
+    when a wall cell built the corners of each face on its own."""
+    walls, chains = list(walls), list(chains)
+    den = math.lcm(*(c.den for c in walls), *(c.den for c in chains))
+    planes = {}
+
+    def add(mask, ends, coef, signs):
+        corners = itertools.product(*ends)
+        if ring == MOD2:
+            if coef % 2:
+                planes.setdefault(mask, set()).symmetric_difference_update(corners)
+            return
+        counts = planes.setdefault(mask, {})
+        for v, sign in zip(corners, signs, strict=True):
+            counts[v] = counts.get(v, 0) + coef * sign
+
+    for c, wall in [(c, True) for c in walls] + [(c, False) for c in chains]:
+        f = den // c.den
+        signs = [1]
+        for _ in range(c.k - 1 if wall else c.k):
+            signs = [s for t in signs for s in (t, -t)]
+        for b, coef in c.terms.items():
+            ends, mask = [], 0
+            for a, (lo, hi) in enumerate(b.extents):
+                if lo < hi:
+                    ends.append((lo * f, hi * f))
+                    mask |= 1 << a
+                elif 0 < lo < c.den:
+                    ends.append((lo * f,))
+                else:
+                    break
+            if len(ends) < len(b.extents):
+                continue
+            if not wall:
+                add(mask, ends, coef, signs)
+                continue
+            sign = coef
+            for a, e in enumerate(ends):
+                if len(e) == 2:
+                    for end, s in ((e[0], -sign), (e[1], sign)):
+                        if 0 < end < den:
+                            add(mask ^ (1 << a), ends[:a] + [(end,)] + ends[a + 1 :], s, signs)
+                    sign = -sign
+    if ring == MOD2:
+        return not any(planes.values())
+    return not any(n for counts in planes.values() for n in counts.values())
+
+
+@given(case=zero_test_cases())
+@settings(max_examples=400, deadline=None)
+def test_vanishes_matches_the_face_by_face_oracle(case):
+    # both rings, walls and chains, cells and wall ends on the facets
+    ring, _, _, walls, chains = case
+    assert vanishes(ring, walls, chains) == old_vanishes(ring, walls, chains)
+    assert vanishes(ring, walls=walls) == old_vanishes(ring, walls=walls)
 
 
 @st.composite
@@ -787,9 +850,9 @@ def test_overlapping_boxes_resolved_pointwise():
     b = (("1/4", 1), (0, 1))
     c = chain_from(2, 2, MOD2, [(a, 1), (b, 1)])
     # the overlap [1/4,3/4] cancels mod 2, leaving the two outer strips
-    assert volume(c) == F(1, 2)
+    assert c.volume() == F(1, 2)
     ci = chain_from(2, 2, INTEGER, [(a, 1), (b, 1)])
-    assert volume(ci) == F(3, 2)  # overlap carries coefficient 2
+    assert ci.volume() == F(3, 2)  # overlap carries coefficient 2
 
 
 def test_equality_is_semantic_not_structural():
@@ -804,14 +867,14 @@ def test_equality_is_semantic_not_structural():
         (("1/3", "2/3"), ("2/3", 1)),
     )
     assert cross_v == cross_h
-    assert volume(cross_v) == volume(cross_h) == F(5, 9)
+    assert cross_v.volume() == cross_h.volume() == F(5, 9)
 
 
 def test_volume_examples():
-    assert volume(RectChain.zero(2, 1)) == 0
-    assert volume(chain_of(((0, "1/3"), (0, 1)))) == F(1, 3)
+    assert RectChain.zero(2, 1).volume() == 0
+    assert chain_of(((0, "1/3"), (0, 1))).volume() == F(1, 3)
     tripled = chain_from(2, 1, INTEGER, [(((0, "1/2"), "1/4"), 3)])
-    assert volume(tripled) == F(3, 2)
+    assert tripled.volume() == F(3, 2)
 
 
 # ------------------------------------------------------ section / split
@@ -828,7 +891,7 @@ class ConeError(ChainError):
 
 def old_cone_sign(b, axis):
     # position the new interval axis would take among the cell's interval axes
-    q = sum(1 for a in b.interval_axes if a < axis)
+    q = sum(1 for a in interval_axes(b) if a < axis)
     return -1 if q % 2 else 1
 
 
@@ -859,7 +922,7 @@ def section_and_split(z, axis, t):
         elif blo > t:
             hi_raw.append((b, coef))
         else:
-            p = b.interval_axes.index(axis)
+            p = interval_axes(b).index(axis)
             sign = -1 if p % 2 else 1
             sec_raw.append((b.replace(axis, t, t), coef * sign))
             lo_raw.append((b.replace(axis, blo, t), coef))
@@ -968,7 +1031,7 @@ def test_section_volume_additivity(seed):
     # cut at 7/16, generic for the denominators used by random_chain
     z = z.rescale(z.den * 16)
     _, z0, z1 = section_and_split(z, 0, 7 * z.den // 16)
-    assert volume(z0) + volume(z1) == volume(z)
+    assert z0.volume() + z1.volume() == z.volume()
 
 
 def volume_split(z: RectChain, axis: int) -> tuple[F, F]:
@@ -1014,9 +1077,9 @@ def test_cone_sweeps_a_segment():
     up = cone_project(y, 0, 1)
     down = cone_project(y, 0, 0)
     assert up == chain_of((("1/3", 1), (0, 1)))
-    assert volume(up) == F(2, 3)
+    assert up.volume() == F(2, 3)
     assert down == chain_of(((0, "1/3"), (0, 1)))
-    assert volume(down) == F(1, 3)
+    assert down.volume() == F(1, 3)
 
 
 def test_cone_precondition():
@@ -1036,7 +1099,7 @@ def test_cone_boundary_identity_mod2(side, seed):
         + cone_project(boundary(y, relative=True), 0, side)
     )
     assert modulo_boundary(residual).is_zero()
-    assert volume(iy) <= volume(y)
+    assert iy.volume() <= y.volume()
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -1067,14 +1130,14 @@ def test_fill_single_wall_segment():
     z = chain_of(("1/3", (0, 1)))
     h = fill(z)
     assert h == chain_of((("1/3", 1), (0, 1)))
-    assert volume(h) == F(2, 3)
+    assert h.volume() == F(2, 3)
 
 
 def test_fill_square_boundary_recovers_square():
     B = chain_of((("1/4", "1/2"), ("1/4", "1/2")))
     h = fill(boundary(B, relative=True))
     assert h == B
-    assert volume(h) == F(1, 16)
+    assert h.volume() == F(1, 16)
 
 
 def test_fill_rejects_non_cycles():
@@ -1092,7 +1155,7 @@ def test_fill_contract(ring, d, k):
         z = random_relative_cycle(seed, d, k, size=2, ring=ring)
         h = fill(z)
         assert boundary(h, relative=True) == modulo_boundary(z)
-        assert volume(h) <= volume(modulo_boundary(z))
+        assert h.volume() <= modulo_boundary(z).volume()
 
 
 def test_fill_is_odd_in_integer_ring():
@@ -1110,7 +1173,7 @@ def test_fill_refines_the_lattice_at_an_odd_midpoint():
     h = fill(z)
     assert h.den == 8
     assert boundary(h, relative=True) == modulo_boundary(z)
-    assert volume(h) <= volume(z)
+    assert h.volume() <= z.volume()
     assert h == chain_of((("1/4", "1/2"), ("1/4", "1/2")))
 
 
@@ -1126,7 +1189,7 @@ def test_fill_contract_through_odd_midpoints(ring):
         h = fill(z)
         assert h.den % (2 * z.den) == 0
         assert boundary(h, relative=True) == z
-        assert volume(h) <= volume(z)
+        assert h.volume() <= z.volume()
     assert odd >= 5
 
 
@@ -1169,6 +1232,33 @@ def cycle_shapes(draw):
     """(d, k, size, seed) for random_relative_cycle, d = 1..5, every k < d."""
     d = draw(st.integers(1, 5))
     return d, draw(st.integers(0, d - 1)), draw(st.integers(1, 4)), draw(st.integers(0, 10**6))
+
+
+def old_sweep_slabs(z, axis):
+    """Oracle: the slabs with each section volume rescanned over every cell,
+    as `sweep_slabs` computed them before its running sum."""
+    pts = sorted({0, z.den} | {p for b in z.terms for p in b.extents[axis]})
+    slabs = []
+    for lo, hi in zip(pts, pts[1:]):
+        sec = 0
+        for b, cf in z.terms.items():
+            blo, bhi = b.extents[axis]
+            if blo < bhi and blo <= lo and hi <= bhi:
+                sec += abs(cf) * (b.volume() // (bhi - blo))
+        slabs.append((lo, hi, sec))
+    return slabs
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER])
+@given(shape=cycle_shapes(), notch=st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_sweep_slabs_matches_the_per_slab_rescan(ring, shape, notch):
+    d, k, size, seed = shape
+    z = random_relative_cycle(seed, d, k, size, ring)
+    box = spanning_box(d, k, ring) + spanning_box(d, k, ring, notch % (k + 1))
+    for c in (z, z + boundary(box, relative=True), box):
+        for axis in range(d):
+            assert sweep_slabs(c, axis) == old_sweep_slabs(c, axis)
 
 
 @pytest.mark.parametrize("ring", [MOD2, INTEGER])
@@ -1290,4 +1380,4 @@ def test_fill_contract_hypothesis(seed):
     z = random_relative_cycle(seed, 3, 1, size=2)
     h = fill(z)
     assert boundary(h, relative=True) == modulo_boundary(z)
-    assert volume(h) <= volume(modulo_boundary(z))
+    assert h.volume() <= modulo_boundary(z).volume()

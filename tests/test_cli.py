@@ -9,7 +9,7 @@ import pytest
 from importlib import resources
 from pathlib import Path
 
-from cubecolor import cli, nervecontract
+from cubecolor import chains, cli, nervecontract
 from cubecolor.chains import MOD2, BoxCell, RectChain, lattice_cells
 from cubecolor.nervecontract import Part, PartitionCell, ShiftedPartition
 from cubecolor.search import stripe_construction
@@ -377,6 +377,23 @@ def test_fill_test_workers_merge_deterministically(capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_fill_test_reports_a_filling_that_lost_a_cell(capsys, monkeypatch):
+    # the boundary check cancels corners, so a filling whose boundary misses
+    # a wall fails there, whatever fill's own merge code would make of it
+    real_fill = chains.fill
+
+    def lossy_fill(z):
+        h = real_fill(z)
+        dropped = dict(list(h.terms.items())[1:])
+        return RectChain(h.d, h.k, h.ring, dropped, h.den)
+
+    monkeypatch.setattr(chains, "fill", lossy_fill)
+    code, out, _ = run(capsys, "fill-test", "--count", "3", "--d", "2", "--k", "1")
+    assert code == 1
+    assert "0/3 passed" in out
+    assert out.count("boundary mismatch") == 3
 
 
 # ----------------------------------------------------------------- search

@@ -34,6 +34,7 @@ from cubecolor.nervecontract import (
     PartitionError,
     ShiftedPartition,
     _face,
+    _skeleton,
     assemble_and_audit,
     build_shifted_partition,
     certify_coloring,
@@ -46,6 +47,11 @@ from cubecolor.search import random_coloring
 
 
 DELTA = {2: F(1, 16), 3: F(1, 48), 4: F(1, 64)}
+
+
+def interval_axes(box):
+    """The axes on which a cell spans an interval, in increasing order."""
+    return tuple(a for a, (lo, hi) in enumerate(box.extents) if lo < hi)
 
 
 def fractions_of(box, den):
@@ -881,7 +887,7 @@ def test_audit_names_the_simplex_of_a_dropped_or_shrunk_cell(d, n, seed):
             continue
         fine = face.rescale(2 * face.den)
         b = next(b for b in fine.terms if not b.in_cube_boundary(fine.den))
-        a = b.interval_axes[0]
+        a = interval_axes(b)[0]
         lo, hi = b.extents[a]
         terms = {c: 1 for c in fine.terms if c != b}
         terms[b.replace(a, lo, hi - 1)] = 1
@@ -966,7 +972,7 @@ def box_face_volume(box: BoxCell, k: int) -> tuple[int, F]:
     """Oracle by direct enumeration: the number and total (d-k)-volume, in
     lattice units, of the codimension-k faces of one box.  A box with all
     axes of length L has C(d,k) * 2^k faces of volume L^(d-k) each."""
-    axes = box.interval_axes
+    axes = interval_axes(box)
     count, total = 0, F(0)
     for fixed in combinations(axes, k):
         vol = F(1)
@@ -1032,8 +1038,8 @@ def test_skeleton_volumes_match_per_level_oracle(d, n, colors):
     + [(4, 2, c, seed) for c in (2, 3) for seed in (0, 1, 2)],
 )
 def test_audit_skeleton_matches_standalone_skeleton_volumes(d, n, colors, seed):
-    # the audit hands the skeleton the relative boundaries its eq2 check
-    # took; recomputing each part's skeleton from scratch gives the same rows
+    # the audit takes each part's walls from its pair faces; taking them
+    # from the part's relative boundary gives the same rows
     g = random_coloring(d, n, colors, seed)
     p = build_shifted_partition(d, n, F(1, 16 * n))
     want = [
@@ -1065,3 +1071,103 @@ def test_tiny_parts_stress_the_skeleton_bound():
         for pt in mono_parts(p, g):
             for k in (1, 2):
                 assert skeleton_volumes(pt.chain())[k] <= g_constant(2, k) * pt.volume * 2**k
+
+
+def contact_skeleton_volumes(chain):
+    """Oracle: skeleton_volumes as it was before the pattern join, each
+    level from chains.contacts over all of its pieces, with the coflat
+    pairs and the lower-dimensional intersections thrown away."""
+    den = chain.den
+    pieces = list(boundary(chain, relative=True).terms)
+    volumes = [chain.volume(), F(sum(b.volume() for b in pieces), den ** (chain.d - 1))]
+    for target in range(chain.d - 2, -1, -1):
+        patterns = [tuple(lo == hi for lo, hi in b.extents) for b in pieces]
+        found = (
+            x for i, j, x in contacts(pieces) if patterns[i] != patterns[j] and x.k == target
+        )
+        pieces = list(dict.fromkeys(found)) if target == 0 else union_normalize(found)
+        volumes.append(F(sum(b.volume() for b in pieces), den**target))
+    return volumes
+
+
+def pair_face_walls(nrv, pid):
+    """The cells of the pair faces F(pid, j): the walls the audit uses."""
+    return [c for t in nrv.cofaces.get((pid,), []) for c in nrv.faces[t].terms]
+
+
+@pytest.mark.parametrize(
+    "d,n,colors",
+    [(2, 4, c) for c in (2, 3)]
+    + [(3, 3, c) for c in (2, 3, 4)]
+    + [(4, 2, c) for c in (2, 3, 4, 5)]
+    + [(5, 2, c) for c in (2, 3, 4, 5, 6)],
+)
+def test_pattern_join_matches_the_contact_skeleton(d, n, colors):
+    # (5, 2, 6) has a 5-simplex in its nerve
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    parts = mono_parts(p, random_coloring(d, n, colors, 1))
+    nrv = nerve(p, parts, max_multiplicity=colors)
+    for pt in parts:
+        chain = nrv.faces[(pt.id,)]
+        want = contact_skeleton_volumes(chain)
+        assert skeleton_volumes(chain) == want, pt.id
+        # pair-face walls and boundary walls cover one set
+        assert [want[0], *_skeleton(pair_face_walls(nrv, pt.id), d, pt.den)] == want, pt.id
+    if (d, colors) == (5, 6):
+        assert nrv.max_dim == 5
+
+
+def notched_box(d, depth):
+    """The mod-2 d-chain of [1/5, 4/5]^d, minus the corner box [1/2, 4/5]^d
+    at depth >= 1, with [1/2, 13/20]^d put back into that notch at depth 2.
+    The notch leaves reentrant faces, so the region bends inwards and
+    outwards at every level of its skeleton."""
+    corners = [(4, 16), (10, 16), (10, 13)][: depth + 1]  # over 20
+    return RectChain.make(d, d, MOD2, [(BoxCell([e] * d), 1) for e in corners], 20)
+
+
+def split_walls(walls, den):
+    """The same walls over 2 * den, each cut in two on its first free axis:
+    another decomposition of the same set."""
+    out = []
+    for b in walls:
+        b = b.scaled(2)
+        a = next(a for a, (lo, hi) in enumerate(b.extents) if lo < hi)
+        lo, hi = b.extents[a]
+        mid = lo + 1 if hi - lo == 2 else (lo + hi) // 2
+        out += [b.replace(a, lo, mid), b.replace(a, mid, hi)]
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_pattern_join_matches_the_contact_skeleton_on_notched_boxes(d, depth):
+    chain = notched_box(d, depth)
+    want = contact_skeleton_volumes(chain)
+    assert skeleton_volumes(chain) == want
+    assert all(v > 0 for v in want)  # the region has faces at every level
+    walls = list(boundary(chain, relative=True).terms)
+    assert [want[0], *_skeleton(split_walls(walls, chain.den), d, 2 * chain.den)] == want
+
+
+@st.composite
+def box_regions(draw):
+    """A d-chain, d = 2..4, of up to 5 boxes with corners over 6, mod 2."""
+    d = draw(st.integers(2, 4))
+    boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        ext = []
+        for _ in range(d):
+            lo, hi = sorted(draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True)))
+            ext.append((lo, hi))
+        boxes.append((BoxCell(ext), 1))
+    return RectChain.make(d, d, MOD2, boxes, 6)
+
+
+@given(chain=box_regions())
+@settings(max_examples=60, deadline=None)
+def test_pattern_join_matches_the_contact_skeleton_on_box_regions(chain):
+    want = contact_skeleton_volumes(chain)
+    assert skeleton_volumes(chain) == want
+    walls = list(boundary(chain, relative=True).terms)
+    assert [want[0], *_skeleton(split_walls(walls, chain.den), chain.d, 2 * chain.den)] == want
