@@ -24,9 +24,10 @@ Conventions used throughout:
   elementary segment per free axis after the first) the cells are the
   maximal first-axis runs of equal coefficient, and these are joined
   once along each later free axis, in axis order, where they touch with
-  equal coefficients.  The cells do not depend on how a chain was
-  grouped or summed, and equality of chains is decided by checking
-  that the difference cancels to the empty chain.
+  equal coefficients.  A sweep along the last free axis computes them,
+  merging only the cells that cross each slab.  The cells do not depend
+  on how a chain was grouped or summed, and equality of chains is
+  decided by checking that the difference cancels to the empty chain.
 * A chain's value is its cells and their coefficients; the order of its
   terms carries no meaning.  `RectChain.cells()` is the sorted view used
   for output.
@@ -116,10 +117,6 @@ class BoxCell:
     @property
     def k(self) -> int:
         return sum(1 for lo, hi in self.extents if lo < hi)
-
-    def plane_key(self):
-        """Fixed coordinates, None on interval axes; identifies the affine plane."""
-        return tuple([None if lo < hi else lo for lo, hi in self.extents])
 
     def volume(self) -> int:
         """The k-volume in lattice units: the true volume times den^k."""
@@ -223,83 +220,82 @@ def _reduce_coef(coef: int, ring: str) -> int:
     return coef
 
 
-def _join(pieces: list) -> list:
-    """Sorted, disjoint ((lo, hi), coef) pieces of one line with touching
-    neighbours of equal coefficient joined."""
-    out = []
-    for (lo, hi), cf in pieces:
-        if out and out[-1][0][1] == lo and out[-1][1] == cf:
-            out[-1] = ((out[-1][0][0], hi), cf)
-        else:
-            out.append(((lo, hi), cf))
-    return out
-
-
 def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
-    """Sum one plane's cells, reduce their coefficients and yield the merged
-    cells: maximal first-axis runs per row, then one join per later free axis.
+    """Yield the canonical cells of one plane's members, summed and reduced.
 
-    A point's plane holds only that point, so `_canonical_terms` never
-    sends one here.  A row is one segment per free axis after the first,
-    cut on the members' breakpoints.  On each row a sweep over the
-    members' first-axis intervals gives the nonzero elementary segments,
-    which `_join` makes the row's maximal runs.  Then pass j, for each later
-    free axis j in order, joins boxes that touch along j and agree elsewhere.
-    A second round would join nothing: each row's runs are maximal; pass j
-    leaves boxes maximal along j within each group of equal other extents;
-    a later pass i never changes an axis-j extent, and each box it makes is
-    one piece per axis-i segment with all its other extents, so two of its
-    boxes that could join along j had pieces that pass j would have joined.
+    `_canonical_terms` sends no point's plane here.  `_sweep` cuts the last
+    free axis on the members' breakpoints.  In each slab it merges only the
+    members that cross it, on the axes before (recursively; on the first
+    axis by a step sweep), then extends each box of the slab below that
+    goes on with the same coefficient and closes the others: the join
+    along the last axis.  The row grid of the module docstring gives the
+    same cells.  Its passes before the last group by the extent on the
+    last axis, so they run slab by slab, on rows also cut on the
+    breakpoints of members that miss the slab; and extra cuts change
+    nothing.  Cutting a row's segment on axis j in two splits each of its
+    runs into two copies with equal coefficient.  The passes before j group
+    by the extent on j, so they treat each copy as the uncut row; pass j
+    joins the copies back, as it joins the maximal runs of equal
+    coefficient on each line; later passes see the same boxes.  One round
+    of joins suffices: each row's runs are maximal; pass j leaves boxes
+    maximal along j within each group of equal other extents; a later pass
+    i keeps every axis-j extent and makes one box per axis-i segment with
+    all its other extents, so two of its boxes that could join along j had
+    pieces that pass j would have joined.
     """
     free = [a for a, v in enumerate(key) if v is None]
-    cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free[1:]]
-    segments = [list(zip(pts, pts[1:])) for pts in cuts]
-    ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
-    rows: dict[tuple, list] = {}
-    for c, coef in members:
-        per_axis = []
-        for a, segs, rank in zip(free[1:], segments, ranks):
-            lo, hi = c.extents[a]
-            per_axis.append(segs[rank[lo] : rank[hi]])
-        span = (*c.extents[free[0]], coef)
-        for row in itertools.product(*per_axis):
-            rows.setdefault(row, []).append(span)
-    boxes: dict[tuple, int] = {}
-    for row, spans in rows.items():
-        if len(spans) == 1:  # one member: one run, no sweep
-            lo, hi, coef = spans[0]
-            cf = _reduce_coef(coef, ring)
-            if cf:
-                boxes[((lo, hi),) + row] = cf
-            continue
-        steps: dict[int, int] = {}
-        for lo, hi, coef in spans:
-            steps[lo] = steps.get(lo, 0) + coef
-            steps[hi] = steps.get(hi, 0) - coef
-        marks = sorted(steps)
-        elementary, total = [], 0
-        for lo, hi in zip(marks, marks[1:]):
-            total += steps[lo]
-            cf = _reduce_coef(total, ring)
-            if cf:
-                elementary.append(((lo, hi), cf))
-        for ext, cf in _join(elementary):
-            boxes[(ext,) + row] = cf
-    for pos in range(1, len(free)):
-        lines: dict[tuple, list] = {}
-        for ext, cf in boxes.items():
-            lines.setdefault(ext[:pos] + ext[pos + 1 :], []).append((ext[pos], cf))
-        boxes = {}
-        for rest, pieces in lines.items():
-            if len(pieces) > 1:
-                pieces = _join(sorted(pieces))  # intervals differ: coefs never compared
-            for ext, cf in pieces:
-                boxes[rest[:pos] + (ext,) + rest[pos:]] = cf
-    for ext, coef in boxes.items():
+    spans = [(tuple([c.extents[a] for a in free]), cf) for c, cf in members]
+    for ext, cf in _sweep(ring, spans, len(free) - 1):
         full = [(v, v) for v in key]
         for a, e in zip(free, ext):
             full[a] = e
-        yield BoxCell._from_valid(tuple(full)), coef
+        yield BoxCell._from_valid(tuple(full)), cf
+
+
+def _sweep(ring: str, spans: list, axis: int) -> list:
+    """The merged (extents on axes 0..axis, coef) boxes of `spans`,
+    (extents on the free axes, reduced coef) pairs; a lone span stays."""
+    if len(spans) == 1:
+        ext, cf = spans[0]
+        return [(ext[: axis + 1], cf)]
+    out = []
+    if not axis:
+        steps = {}
+        for ext, cf in spans:
+            lo, hi = ext[0]
+            steps[lo] = steps.get(lo, 0) + cf
+            steps[hi] = steps.get(hi, 0) - cf
+        total, run = 0, None
+        for t in sorted(steps):
+            total += steps[t]
+            cf = _reduce_coef(total, ring)
+            if run and run[1] != cf:
+                out.append((((run[0], t),), run[1]))
+                run = None
+            if cf and not run:
+                run = (t, cf)
+        return out
+    starts, ends, runs, active = {}, {}, {}, {}
+    for i, (ext, _) in enumerate(spans):
+        lo, hi = ext[axis]
+        starts.setdefault(lo, []).append(i)
+        ends.setdefault(hi, []).append(i)
+    for t in sorted(starts.keys() | ends.keys()):
+        for i in ends.get(t, ()):
+            del active[i]
+        for i in starts.get(t, ()):
+            active[i] = spans[i]
+        opened = {}  # (start, coef) of the runs through the slab from t, by other extents
+        for rest, cf in _sweep(ring, list(active.values()), axis - 1) if active else ():
+            run = runs.get(rest)
+            if run and run[1] == cf:
+                del runs[rest]
+            else:
+                run = (t, cf)
+            opened[rest] = run
+        out += [((*rest, (lo, t)), cf) for rest, (lo, cf) in runs.items()]
+        runs = opened
+    return out
 
 
 def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, int]:
@@ -314,7 +310,7 @@ def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, 
     """
     groups: dict[tuple, list[tuple[BoxCell, int]]] = {}
     for c, coef in raw:
-        key = c.plane_key()
+        key = tuple([None if lo < hi else lo for lo, hi in c.extents])
         if len(key) != d:
             raise ChainError(f"cell dimension {len(key)} does not match d={d}")
         if key.count(None) != k:
@@ -328,12 +324,11 @@ def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, 
             summed: dict[BoxCell, int] = {}
             for c, cf in members:
                 summed[c] = summed.get(c, 0) + cf
-            members = [(c, cf) for c, cf in summed.items() if _reduce_coef(cf, ring)]
+            members = [(c, cf) for c, n in summed.items() if (cf := _reduce_coef(n, ring))]
             if len(members) > 1:
                 out.update(_merge_plane(ring, key, members))
                 continue
-        for c, cf in members:  # at most one
-            out[c] = _reduce_coef(cf, ring)
+        out.update(members)  # at most one
     return out
 
 

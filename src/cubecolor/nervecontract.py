@@ -107,13 +107,12 @@ class ShiftedPartition:
         """The touching cell pairs with their intersections; see chains.contacts."""
         return contacts([pc.box for pc in self.cells])
 
-    def cliques(self, key=None):
+    def cliques(self, key):
         """The cliques of the contact graph whose cells have strictly
-        increasing `key[i]` (default: the index), each once as a tuple of
-        cell ids, in lexicographic order.  Closed boxes that meet pairwise
-        share a point (Helly's theorem for boxes), so these are exactly the
-        sets of such cells with a common point."""
-        key = range(len(self.cells)) if key is None else key
+        increasing `key[i]`, each once as a tuple of cell ids, in
+        lexicographic order.  Closed boxes that meet pairwise share a point
+        (Helly's theorem for boxes), so these are exactly the sets of such
+        cells with a common point."""
         later: list[set[int]] = [set() for _ in self.cells]
         for i, j, _ in self.contacts:
             if key[i] > key[j]:
@@ -130,8 +129,26 @@ class ShiftedPartition:
             yield from walk((i,), later[i])
 
     def max_multiplicity(self) -> int:
-        """Largest number of closed cells sharing a point."""
-        return max(map(len, self.cliques()), default=0)
+        """Largest number of closed cells sharing a point: the size of the
+        largest clique (see `cliques`).  A branch stops once its size plus
+        its candidates cannot beat the largest clique found so far."""
+        later: list[set[int]] = [set() for _ in self.cells]
+        for i, j, _ in self.contacts:  # i < j
+            later[i].add(j)
+        best = 0
+
+        def walk(size: int, common: set[int]):
+            nonlocal best
+            best = max(best, size)
+            order = sorted(common)
+            for at, j in enumerate(order):
+                if size + len(order) - at <= best:
+                    return
+                walk(size + 1, common & later[j])
+
+        for i in range(len(self.cells)):
+            walk(1, later[i])
+        return best
 
     def verify(self):
         den = self.den

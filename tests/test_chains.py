@@ -38,6 +38,9 @@ from cubecolor.chains import (
     union_normalize,
     vanishes,
 )
+from cubecolor import chains as chains_module
+from cubecolor.nervecontract import _cycle, build_shifted_partition, contraction, mono_parts, nerve
+from cubecolor.search import random_coloring
 
 
 DATA = Path(__file__).parent / "data"
@@ -122,7 +125,6 @@ def test_cell_basic_properties():
     assert b == BoxCell([(0, 6), 3, (4, 12)])
     assert b.d == 3
     assert b.k == 2
-    assert b.plane_key() == (None, 3, None)
     assert F(b.volume(), den**b.k) == F(1, 2) * F(2, 3)
     assert not b.in_cube_boundary(den)
     assert BoxCell([0, (0, 1)]).in_cube_boundary(1)
@@ -745,6 +747,163 @@ def test_merge_plane_is_a_fixed_point_of_the_atom_merge(ring, data):
     free = [a for a, v in enumerate(key) if v is None]
     boxes = {tuple(c.extents[a] for a in free): cf for c, cf in _merge_plane(ring, key, members)}
     assert old_merge_atoms(boxes, len(free)) == boxes
+
+
+def grid_join(pieces):
+    """Sorted, disjoint ((lo, hi), coef) pieces of one line with touching
+    neighbours of equal coefficient joined."""
+    out = []
+    for (lo, hi), cf in pieces:
+        if out and out[-1][0][1] == lo and out[-1][1] == cf:
+            out[-1] = ((out[-1][0][0], hi), cf)
+        else:
+            out.append(((lo, hi), cf))
+    return out
+
+
+def grid_merge_plane(ring, key, members):
+    """The plane merge before the slab sweep, the oracle of `_merge_plane`:
+    every member is cut into rows on the breakpoints of all members, on
+    every free axis after the first; a step sweep gives each row's maximal
+    first-axis runs, which are joined once along each later free axis."""
+    free = [a for a, v in enumerate(key) if v is None]
+    cuts = [sorted({p for c, _ in members for p in c.extents[a]}) for a in free[1:]]
+    segments = [list(zip(pts, pts[1:])) for pts in cuts]
+    ranks = [{p: i for i, p in enumerate(pts)} for pts in cuts]
+    rows = {}
+    for c, coef in members:
+        per_axis = []
+        for a, segs, rank in zip(free[1:], segments, ranks):
+            lo, hi = c.extents[a]
+            per_axis.append(segs[rank[lo] : rank[hi]])
+        span = (*c.extents[free[0]], coef)
+        for row in itertools.product(*per_axis):
+            rows.setdefault(row, []).append(span)
+    boxes = {}
+    for row, spans in rows.items():
+        steps = {}
+        for lo, hi, coef in spans:
+            steps[lo] = steps.get(lo, 0) + coef
+            steps[hi] = steps.get(hi, 0) - coef
+        marks = sorted(steps)
+        elementary, total = [], 0
+        for lo, hi in zip(marks, marks[1:]):
+            total += steps[lo]
+            cf = _reduce_coef(total, ring)
+            if cf:
+                elementary.append(((lo, hi), cf))
+        for ext, cf in grid_join(elementary):
+            boxes[(ext,) + row] = cf
+    for pos in range(1, len(free)):
+        lines = {}
+        for ext, cf in boxes.items():
+            lines.setdefault(ext[:pos] + ext[pos + 1 :], []).append((ext[pos], cf))
+        boxes = {}
+        for rest, pieces in lines.items():
+            for ext, cf in grid_join(sorted(pieces)):
+                boxes[rest[:pos] + (ext,) + rest[pos:]] = cf
+    for ext, coef in boxes.items():
+        full = [(v, v) for v in key]
+        for a, e in zip(free, ext):
+            full[a] = e
+        yield BoxCell._from_valid(tuple(full)), coef
+
+
+def ring_coef(draw, ring):
+    """A nonzero coefficient as `_canonical_terms` hands it on: reduced."""
+    if ring == _UNION:
+        return 1
+    return _reduce_coef(draw(st.integers(-3, 3).filter(bool)), ring) or 1
+
+
+def repeat_and_cancel(draw, ring, members):
+    """`members` with some repeated and some joined by a cancelling copy
+    (mod 2 a copy cancels; in the union ring it covers twice), shuffled."""
+    out = list(members)
+    for c, cf in draw(st.lists(st.sampled_from(members), max_size=3)):
+        neg = cf if ring == _UNION else _reduce_coef(-cf, ring)
+        out.append((c, draw(st.sampled_from([cf, neg]))))
+    return draw(st.permutations(out))
+
+
+@st.composite
+def sweep_planes(draw, ring):
+    """(key, members): cells of one plane with k >= 1 free axes in [0,1]^d,
+    d = 1..5, with corners over mixed denominators, repeated and cancelling
+    cells among them."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, d))
+    free = draw(st.sampled_from(list(itertools.combinations(range(d), k))))
+    dens = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6]), min_size=1, max_size=3))
+    corners = sorted({F(i, q) for q in dens for i in range(q + 1)})
+    fixed = {a: draw(st.sampled_from(corners)) for a in range(d) if a not in free}
+    pair = st.lists(st.sampled_from(corners), min_size=2, max_size=2, unique=True).map(sorted)
+    boxes = [
+        tuple(tuple(draw(pair)) if a in free else (fixed[a],) * 2 for a in range(d))
+        for _ in range(draw(st.integers(2, 7)))
+    ]
+    _, cells = lattice_cells(boxes)
+    members = repeat_and_cancel(draw, ring, [(c, ring_coef(draw, ring)) for c in cells])
+    return tuple(None if lo < hi else lo for lo, hi in cells[0].extents), members
+
+
+@st.composite
+def staggered_stacks(draw, ring):
+    """(key, members): boxes stacked in layers along the plane's last free
+    axis, each layer shifted by its own offset on the lower free axes.  A
+    cut on the breakpoints of all members makes a product of rows out of
+    every layer, while a slab holds only its own layers.  Layers abut,
+    overlap or leave gaps, and neighbours often share their lower extents,
+    with equal or different coefficients."""
+    d = draw(st.integers(2, 5))
+    k = draw(st.integers(2, d))
+    free = draw(st.sampled_from(list(itertools.combinations(range(d), k))))
+    key = tuple(None if a in free else draw(st.sampled_from([0, 30, 60])) for a in range(d))
+    offsets = [draw(st.integers(0, 30)) for _ in range(draw(st.integers(1, 2)))]
+    widths = [draw(st.integers(1, 30)) for _ in range(2)]
+    bottom, members = 0, []
+    for _ in range(draw(st.integers(2, 8))):
+        height = draw(st.integers(1, 8))
+        lower = [(o, o + draw(st.sampled_from(widths))) for o in
+                 (draw(st.sampled_from(offsets) | st.integers(0, 30)) for _ in free[:-1])]
+        spans = iter([*lower, (bottom, bottom + height)])
+        cell = BoxCell._from_valid(tuple(next(spans) if v is None else (v, v) for v in key))
+        members.append((cell, ring_coef(draw, ring)))
+        bottom = max(0, bottom + height + draw(st.integers(-2, 2)))
+    return key, repeat_and_cancel(draw, ring, members)
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER, _UNION])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_merge_plane_matches_the_row_grid(ring, data):
+    # the slab sweep gives the cells of cutting on all breakpoints
+    key, members = data.draw(sweep_planes(ring) | plane_members(ring))
+    assert dict(_merge_plane(ring, key, members)) == dict(grid_merge_plane(ring, key, members))
+
+
+@pytest.mark.parametrize("ring", [MOD2, INTEGER, _UNION])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_merge_plane_matches_the_row_grid_on_staggered_stacks(ring, data):
+    key, members = data.draw(staggered_stacks(ring))
+    assert dict(_merge_plane(ring, key, members)) == dict(grid_merge_plane(ring, key, members))
+
+
+@pytest.mark.parametrize("colors", [2, 3, 4, 5])
+def test_part_chains_and_cycles_match_the_row_grid(monkeypatch, colors):
+    # every part chain and X_i of a d = 4 coloring, cell for cell
+    def chains_of(g):
+        partition = build_shifted_partition(g.d, g.n, F(1, 16 * g.n))
+        parts = mono_parts(partition, g)
+        nrv = nerve(partition, parts)
+        fillings = contraction(nrv)
+        return {p.id: (p.chain().terms, _cycle(nrv, fillings, (p.id,)).terms) for p in parts}
+
+    g = random_coloring(4, 3, colors, colors)
+    swept = chains_of(g)
+    monkeypatch.setattr(chains_module, "_merge_plane", grid_merge_plane)
+    assert chains_of(g) == swept
 
 
 @st.composite

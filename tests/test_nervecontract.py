@@ -2,10 +2,12 @@
 and the end-to-end audit."""
 
 import dataclasses
+import json
 import re
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,7 @@ from cubecolor.nervecontract import (
 from cubecolor.search import random_coloring
 
 
+DATA = Path(__file__).parent / "data"
 DELTA = {2: F(1, 16), 3: F(1, 48), 4: F(1, 64)}
 
 
@@ -76,7 +79,7 @@ def test_partition_d1_is_unshifted():
 def test_partition_d2_n2_sliver_and_multiplicity():
     p = build_shifted_partition(2, 2, F(1, 16))
     assert len(p.cells) == 5  # 4 descendants of the grid cells plus 1 sliver
-    assert p.max_multiplicity() == 3  # simple: d + 1
+    assert p.max_multiplicity() == full_walk_multiplicity(p) == 3  # simple: d + 1
     assert p.den == 80  # level 2 shifts by delta/5
     widths = sorted(F(hi - lo, p.den) for (lo, hi), _ in (pc.box.extents for pc in p.cells))
     assert widths[0] == F(1, 80)  # the sliver, delta / first-prime-above-2
@@ -88,7 +91,7 @@ def test_partition_d3_n3_tiles_exactly():
     p = build_shifted_partition(3, 3, DELTA[3])
     assert p.den == 48 * 7 * 11  # levels 2 and 3 shift by delta/7 and delta/11
     assert sum(pc.box.volume() for pc in p.cells) == p.den**3
-    assert p.max_multiplicity() <= 4
+    assert p.max_multiplicity() == full_walk_multiplicity(p) <= 4
 
 
 def test_partition_provenance_clamped():
@@ -108,6 +111,11 @@ def scan_multiplicity(p):
     return max(sum(1 for pc in p.cells if contains_point(pc.box, pt)) for pt in product(*axes))
 
 
+def full_walk_multiplicity(p):
+    """Oracle: the size of the largest of all the cliques, every one walked."""
+    return max(map(len, p.cliques(range(len(p.cells)))), default=0)
+
+
 def partition_of(boxes, d) -> ShiftedPartition:
     """A partition of boxes given by rational corners."""
     den, cells = lattice_cells(boxes)
@@ -123,7 +131,13 @@ def partition_of(boxes, d) -> ShiftedPartition:
 @pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in (1, 2, 3, 4)])
 def test_multiplicity_sweep_matches_vertex_scan(d, n):
     p = build_shifted_partition(d, n, F(1, 16 * n))  # certify's default delta
-    assert p.max_multiplicity() == scan_multiplicity(p)
+    assert p.max_multiplicity() == scan_multiplicity(p) == full_walk_multiplicity(p)
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 4), (4, 3), (5, 2), (5, 3)])
+def test_pruned_multiplicity_matches_the_full_clique_walk(d, n):
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    assert p.max_multiplicity() == full_walk_multiplicity(p) == d + 1
 
 
 def _coordinate():
@@ -143,15 +157,16 @@ def box_families(draw):
 @settings(max_examples=150, deadline=None)
 @given(box_families())
 def test_multiplicity_sweep_matches_vertex_scan_on_box_families(p):
-    assert p.max_multiplicity() == scan_multiplicity(p)
+    assert p.max_multiplicity() == scan_multiplicity(p) == full_walk_multiplicity(p)
 
 
 def test_multiplicity_counts_boxes_touching_at_a_corner_and_a_face():
     half = F(1, 2)
     corner = [((0, half), (0, half)), ((half, 1), (half, 1))]
-    assert partition_of(corner, 2).max_multiplicity() == 2
     face = [((0, half), (0, 1)), ((half, 1), (0, 1)), ((half, half), (half, half))]
-    assert partition_of(face, 2).max_multiplicity() == 3
+    for boxes, want in [(corner, 2), (face, 3)]:
+        p = partition_of(boxes, 2)
+        assert p.max_multiplicity() == full_walk_multiplicity(p) == want
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -168,7 +183,7 @@ def test_unshifted_grid_fails_genericity(d):
         cells=cells,
         den=2,
     )
-    assert p.max_multiplicity() == 2**d
+    assert p.max_multiplicity() == full_walk_multiplicity(p) == 2**d
     with pytest.raises(PartitionError, match=rf"multiplicity {2**d} exceeds d\+1 = {d + 1}"):
         p.verify()
 
@@ -439,7 +454,7 @@ def test_cliques_are_the_cell_sets_with_a_common_point(data, p):
             if any(max(lo for lo, _ in ax) > min(hi for _, hi in ax) for ax in extents):
                 continue  # no common point
             want.add(tuple(sorted(ids, key=lambda c: rank[c])))
-    got = list(p.cliques(key))
+    got = list(p.cliques(rank))
     assert len(got) == len(set(got))
     assert set(got) == want
     assert got == sorted(got)  # lexicographic: nerve's pieces come in this order
@@ -800,6 +815,18 @@ def test_audit_alpha_definition():
     assert rep.alpha == max(rep.part_volumes) * F(3) ** rep.m
 
 
+@pytest.mark.parametrize(
+    "name", ["certify_d4_n4_c5", "certify_d4_n5_c2", "certify_d5_n2_c6", "certify_d5_n3_c2"]
+)
+def test_certify_past_the_cli_range_matches_stored_report(name):
+    # random_coloring(d, n, colors, 1) at shapes the CLI does not accept yet;
+    # the stored bytes are what `certify` prints.  d5_n2_c6 has a 5-simplex
+    g = parse_coloring((DATA / f"{name}.txt").read_text())
+    rep = certify_coloring(g)
+    assert rep.failures == []
+    assert json.dumps(rep.to_json(), indent=2) + "\n" == (DATA / f"{name}.json").read_text()
+
+
 def test_audit_flags_engineered_failure():
     # feed assemble a wrong interface chain: the report lists the failure
     p = build_shifted_partition(2, 2, F(1, 16))
@@ -997,6 +1024,11 @@ def test_face_volume_direct_count_oracle():
         assert total / den ** (3 - k) == comb(3, k) * 2**k * F(1, 3) ** (3 - k)
 
 
+def plane_of(box):
+    """Fixed coordinates, None on interval axes: the box's affine plane."""
+    return tuple(None if lo < hi else lo for lo, hi in box.extents)
+
+
 def oracle_skeleton_volume(part, k):
     """skeleton_volumes(chain)[k] as it was before every level came out of one pass:
     a fresh boundary per k, and all pairs of pieces at every level."""
@@ -1008,7 +1040,7 @@ def oracle_skeleton_volume(part, k):
         target = d - level
         found = []
         for b1, b2 in combinations(pieces, 2):
-            if b1.plane_key() == b2.plane_key():
+            if plane_of(b1) == plane_of(b2):
                 continue
             x = b1.intersect(b2)
             if x is not None and x.k == target:
