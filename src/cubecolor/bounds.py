@@ -38,8 +38,8 @@ class BoundsTable:
     fbar_approx: Fraction  # 1 + h_eq4, the per-part volume blow-up cap
     g: dict[int, Fraction] = field(default_factory=dict)  # k -> C(d,k) 2^(2k-1)
     prior_2color: Fraction | None = None  # n^(d-1) - d^2 n^(d-2)
-    asymptotic: bool = True  # the O(1/n) summand is not known
-    discrepancy_factor_two: bool = True  # f_remark == f_eq5 / 2 always
+    asymptotic = True  # the O(1/n) summand is not known
+    discrepancy_factor_two = True  # f_remark == f_eq5 / 2 always
 
     def to_json(self) -> dict:
         return {

@@ -10,9 +10,10 @@ where numbers go out (`RectChain.volume`, `dumps_chain`).
 
 Conventions used throughout:
 
-* A cell fixes some axes at a point and spans a closed interval on the
-  others; k is the number of interval axes.  Zero-length intervals are
-  never stored: an axis with lo == hi is a fixed axis.
+* A cell is the tuple of its (lo, hi) extents, one per axis, so it
+  equals a plain tuple with the same extents.  An axis with lo == hi is
+  fixed at a point, the others span a closed interval; k is the number
+  of interval axes.
 * The boundary operator uses the alternating cubical sign rule: for the
   p-th interval axis (0-based, in increasing axis order) the top face
   enters with sign (-1)^p and the bottom face with -(-1)^p.  Mod 2 the
@@ -80,83 +81,78 @@ class FillError(ChainError):
     """Filling was asked for something that is not a relative cycle."""
 
 
-class BoxCell:
+class BoxCell(tuple):
     """One axis-aligned cell: per axis either a fixed value or an interval.
 
-    Stored as a tuple of (lo, hi) int pairs with lo == hi meaning "fixed",
-    numerators over the `den` of the chain or partition holding the cell.
-    Immutable and hashable, so cells can key coefficient maps.
+    A cell is the tuple of its (lo, hi) int pairs, lo == hi meaning
+    "fixed", numerators over the `den` of the chain or partition holding
+    the cell.  So it is immutable and hashable, keys coefficient maps, and
+    equals, hashes and orders as the plain tuple of the same extents.
     """
 
-    __slots__ = ("extents",)
+    __slots__ = ()
 
-    def __init__(self, extents):
+    def __new__(cls, extents):
         ext = []
         for e in extents:
             lo, hi = e if isinstance(e, tuple) else (e, e)
             if type(lo) is not int or type(hi) is not int or not 0 <= lo <= hi:
                 raise ChainError(f"cell extent is not a pair of ints 0 <= lo <= hi: {e!r}")
             ext.append((lo, hi))
-        object.__setattr__(self, "extents", tuple(ext))
+        return tuple.__new__(cls, ext)
 
     @classmethod
-    def _from_valid(cls, extents: tuple) -> "BoxCell":
+    def _from_valid(cls, extents: Iterable) -> "BoxCell":
         """A cell from (lo, hi) int pairs already known to satisfy
         0 <= lo <= hi <= den, such as pieces cut from existing cells."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "extents", extents)
-        return c
+        return tuple.__new__(cls, extents)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BoxCell is immutable")
+    @property
+    def extents(self) -> tuple:
+        """The (lo, hi) pairs as a plain tuple."""
+        return tuple(self)
 
     @property
     def d(self) -> int:
-        return len(self.extents)
+        return len(self)
 
     @property
     def k(self) -> int:
-        return sum(1 for lo, hi in self.extents if lo < hi)
+        return sum(1 for lo, hi in self if lo < hi)
 
     def volume(self) -> int:
         """The k-volume in lattice units: the true volume times den^k."""
         v = 1
-        for lo, hi in self.extents:
+        for lo, hi in self:
             if lo < hi:
                 v *= hi - lo
         return v
 
     def in_cube_boundary(self, den: int) -> bool:
         """True when the whole cell lies inside a facet of the cube."""
-        return any(lo == hi and lo in (0, den) for lo, hi in self.extents)
+        return any(lo == hi and lo in (0, den) for lo, hi in self)
 
     def replace(self, axis: int, lo: int, hi: int) -> "BoxCell":
         """This cell with the extent (lo, hi) on `axis`, 0 <= lo <= hi <= den."""
-        return BoxCell._from_valid(self.extents[:axis] + ((lo, hi),) + self.extents[axis + 1 :])
+        return BoxCell._from_valid(self[:axis] + ((lo, hi),) + self[axis + 1 :])
 
     def scaled(self, factor: int) -> "BoxCell":
         """The same cell over a denominator `factor` times larger."""
-        return BoxCell._from_valid(tuple((lo * factor, hi * factor) for lo, hi in self.extents))
+        return BoxCell._from_valid((lo * factor, hi * factor) for lo, hi in self)
 
     def intersect(self, other: "BoxCell") -> "BoxCell | None":
         """Closed intersection, or None when empty.  May drop dimension."""
         ext = []
-        for (alo, ahi), (blo, bhi) in zip(self.extents, other.extents):
+        for (alo, ahi), (blo, bhi) in zip(self, other):
             lo, hi = max(alo, blo), min(ahi, bhi)
             if lo > hi:
                 return None
             ext.append((lo, hi))
-        return BoxCell._from_valid(tuple(ext))
-
-    def __eq__(self, other):
-        return isinstance(other, BoxCell) and self.extents == other.extents
-
-    def __hash__(self):
-        return hash(self.extents)
+        return BoxCell._from_valid(ext)
 
     def __repr__(self):
         parts = []
-        for lo, hi in self.extents:
+        for lo, hi in self:
             parts.append(f"{lo}" if lo == hi else f"[{lo},{hi}]")
         return "Cell(" + " x ".join(parts) + ")"
 
@@ -188,26 +184,24 @@ def contacts(boxes: Sequence[BoxCell]) -> list[tuple[int, int, BoxCell]]:
     """
     if not boxes:
         return []
-    keys = [b.extents for b in boxes]
-    second = 1 if len(keys[0]) > 1 else 0
-    lo2 = [k[second][0] for k in keys]
-    hi2 = [k[second][1] for k in keys]
+    second = 1 if len(boxes[0]) > 1 else 0
+    lo1, hi1 = [b[0][0] for b in boxes], [b[0][1] for b in boxes]
+    lo2, hi2 = [b[second][0] for b in boxes], [b[second][1] for b in boxes]
     active: list[int] = []
     out = []
-    for j in sorted(range(len(boxes)), key=lambda i: keys[i][0][0]):
-        kj = keys[j]
-        active = [i for i in active if keys[i][0][1] >= kj[0][0]]
+    for j in sorted(range(len(boxes)), key=lo1.__getitem__):
+        active = [i for i in active if hi1[i] >= lo1[j]]
         lj, hj = lo2[j], hi2[j]
         for i in [i for i in active if lo2[i] <= hj and hi2[i] >= lj]:
             ext = []
-            for (alo, ahi), (blo, bhi) in zip(keys[i], kj):
+            for (alo, ahi), (blo, bhi) in zip(boxes[i], boxes[j]):
                 lo = alo if alo > blo else blo
                 hi = ahi if ahi < bhi else bhi
                 if lo > hi:
                     break
                 ext.append((lo, hi))
             else:
-                out.append((min(i, j), max(i, j), BoxCell._from_valid(tuple(ext))))
+                out.append((min(i, j), max(i, j), BoxCell._from_valid(ext)))
         active.append(j)
     return sorted(out, key=lambda t: t[:2])
 
@@ -244,12 +238,12 @@ def _merge_plane(ring: str, key: tuple, members: list[tuple[BoxCell, int]]):
     pieces that pass j would have joined.
     """
     free = [a for a, v in enumerate(key) if v is None]
-    spans = [(tuple([c.extents[a] for a in free]), cf) for c, cf in members]
+    spans = [(tuple([c[a] for a in free]), cf) for c, cf in members]
     for ext, cf in _sweep(ring, spans, len(free) - 1):
         full = [(v, v) for v in key]
         for a, e in zip(free, ext):
             full[a] = e
-        yield BoxCell._from_valid(tuple(full)), cf
+        yield BoxCell._from_valid(full), cf
 
 
 def _sweep(ring: str, spans: list, axis: int) -> list:
@@ -310,7 +304,7 @@ def _canonical_terms(ring: str, raw: Iterable, d: int, k: int) -> dict[BoxCell, 
     """
     groups: dict[tuple, list[tuple[BoxCell, int]]] = {}
     for c, coef in raw:
-        key = tuple([None if lo < hi else lo for lo, hi in c.extents])
+        key = tuple([None if lo < hi else lo for lo, hi in c])
         if len(key) != d:
             raise ChainError(f"cell dimension {len(key)} does not match d={d}")
         if key.count(None) != k:
@@ -376,7 +370,7 @@ class RectChain:
         return not self.terms
 
     def cells(self) -> Iterator[tuple[BoxCell, int]]:
-        return iter(sorted(self.terms.items(), key=lambda t: t[0].extents))
+        return iter(sorted(self.terms.items()))
 
     def volume(self) -> Fraction:
         return Fraction(sum(abs(cf) * c.volume() for c, cf in self.terms.items()), self.den**self.k)
@@ -406,6 +400,8 @@ class RectChain:
         if not isinstance(other, RectChain):
             return NotImplemented
         if self.d != other.d or self.ring != other.ring:
+            return False
+        if self.terms and other.terms and self.k != other.k:
             return False
         return (self - other).is_zero()
 
@@ -447,11 +443,11 @@ def boundary(c: RectChain, relative: bool = False) -> RectChain:
     for b, coef in c.terms.items():
         if relative and b.in_cube_boundary(c.den):
             continue  # with all its faces; other cells lose only faces fixed at 0 or 1
-        ext, sign = b.extents, coef
-        for axis, (lo, hi) in enumerate(ext):
+        sign = coef
+        for axis, (lo, hi) in enumerate(b):
             if lo == hi:
                 continue
-            head, tail = ext[:axis], ext[axis + 1 :]
+            head, tail = b[:axis], b[axis + 1 :]
             if not (relative and hi == c.den):
                 raw.append((BoxCell._from_valid(head + ((hi, hi),) + tail), sign))
             if not (relative and lo == 0):
@@ -513,7 +509,7 @@ def vanishes(
             signs = [s for t in signs for s in (t, -t)]
         for b, coef in c.terms.items():
             ends, mask = [], 0
-            for a, (lo, hi) in enumerate(b.extents):
+            for a, (lo, hi) in enumerate(b):
                 if lo < hi:
                     ends.append((lo * f, hi * f))
                     mask |= 1 << a
@@ -521,7 +517,7 @@ def vanishes(
                     ends.append((lo * f,))
                 else:
                     break
-            if len(ends) < len(b.extents):
+            if len(ends) < len(b):
                 continue  # the cell lies in the cube boundary
             add(into, mask, itertools.product(*ends), coef, signs)
     for mask, counts in own.items():
@@ -545,7 +541,7 @@ def is_relative_cycle(z: RectChain) -> bool:
 def _axis_breakpoints(z: RectChain, axis: int) -> list[int]:
     pts = {0, z.den}
     for b in z.terms:
-        lo, hi = b.extents[axis]
+        lo, hi = b[axis]
         pts.add(lo)
         pts.add(hi)
     return sorted(pts)
@@ -565,7 +561,7 @@ def sweep_slabs(z: RectChain, axis: int) -> list[tuple[int, int, int]]:
     """
     steps: dict[int, int] = {}
     for b, cf in z.terms.items():
-        lo, hi = b.extents[axis]
+        lo, hi = b[axis]
         if lo < hi:
             w = abs(cf) * (b.volume() // (hi - lo))
             steps[lo] = steps.get(lo, 0) + w
@@ -581,7 +577,7 @@ def sweep_slabs(z: RectChain, axis: int) -> list[tuple[int, int, int]]:
 def _cone_sign(b: BoxCell, axis: int) -> int:
     # (-1)^q, q the number of interval axes before `axis`: the position the
     # axis takes among the interval axes of the cone, or has in a section
-    q = sum(1 for lo, hi in b.extents[:axis] if lo < hi)
+    q = sum(1 for lo, hi in b[:axis] if lo < hi)
     return -1 if q % 2 else 1
 
 
@@ -608,7 +604,7 @@ def _fill_rec(z: RectChain, axes: tuple[int, ...]) -> RectChain:
     den = z.den
     section, raw = [], []
     for b, coef in z.terms.items():
-        lo, hi = b.extents[axis]
+        lo, hi = b[axis]
         if t == lo or t == hi:
             raise SectionError(f"cut height {Fraction(t, den)} hits a breakpoint of the chain")
         if lo == hi:
@@ -692,7 +688,7 @@ def dumps_chain(c: RectChain) -> str:
     lines = [f"# d={c.d} k={c.k} ring={c.ring}"]
     for b, coef in c.cells():
         specs = []
-        for lo, hi in b.extents:
+        for lo, hi in b:
             lo, hi = Fraction(lo, c.den), Fraction(hi, c.den)
             specs.append(f"F {lo}" if lo == hi else f"I {lo} {hi}")
         lines.append(f"{coef} | " + " | ".join(specs))

@@ -32,6 +32,7 @@ multiplicity), never assumed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -162,7 +163,7 @@ class ShiftedPartition:
                 )
         cap = (Fraction(1, self.n) + 2 * self.delta) * den
         for pc in self.cells:
-            for a, (lo, hi) in enumerate(pc.box.extents):
+            for a, (lo, hi) in enumerate(pc.box):
                 length = hi - lo
                 if length > cap:
                     raise PartitionError(f"partition: cell {pc.box} too long on axis {a + 1}")
@@ -306,9 +307,12 @@ class Nerve:
     entry."""
 
     simplices: dict[int, list[tuple[int, ...]]]
-    max_dim: int
     faces: dict[tuple[int, ...], RectChain] = field(repr=False)
     cofaces: dict[tuple[int, ...], list[tuple[int, ...]]] = field(repr=False)
+
+    @property
+    def max_dim(self) -> int:
+        return max(self.simplices)
 
 
 def _face(simplex: tuple[int, ...], pieces: list[BoxCell], den: int) -> RectChain:
@@ -364,7 +368,7 @@ def nerve(
         faces[t] = _face(t, list(pieces[t]), partition.den)
         for v in t:
             cofaces.setdefault(tuple(u for u in t if u != v), []).append(t)
-    return Nerve(simplices=levels, max_dim=max(levels), faces=faces, cofaces=cofaces)
+    return Nerve(simplices=levels, faces=faces, cofaces=cofaces)
 
 
 def _cycle(nrv: Nerve, fillings: dict[tuple[int, ...], RectChain], s) -> RectChain:
@@ -517,13 +521,11 @@ def _bends(pieces: list[BoxCell]) -> list[BoxCell]:
     list: at d = 3 the walls' pattern pairs share no fixed axis, so one
     key holds every piece of a plane orientation.
     """
-    from bisect import bisect_left, bisect_right
-
     d = pieces[0].d if pieces else 0
-    by_mask: dict[int, list[tuple]] = {}
+    by_mask: dict[int, list[BoxCell]] = {}
     for c in pieces:
-        mask = sum(1 << x for x, (lo, hi) in enumerate(c.extents) if lo < hi)
-        by_mask.setdefault(mask, []).append(c.extents)
+        mask = sum(1 << x for x, (lo, hi) in enumerate(c) if lo < hi)
+        by_mask.setdefault(mask, []).append(c)
     out = []
     masks = sorted(by_mask)
     for p, q in [(p, q) for i, p in enumerate(masks) for q in masks[i + 1 :]]:
@@ -559,7 +561,7 @@ def _bends(pieces: list[BoxCell]) -> list[BoxCell]:
                         break
                     ext[x] = (xlo, xhi)
                 else:
-                    out.append(BoxCell._from_valid(tuple(ext)))
+                    out.append(BoxCell._from_valid(ext))
     return out
 
 

@@ -1,9 +1,11 @@
 """Exact chain algebra: boundary, volume, zero tests, sections, cones, filling."""
 
+import copy
 import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -146,11 +148,56 @@ def test_cell_rejects_bad_extents():
         BoxCell([(2, 1)])
     with pytest.raises(ChainError):
         BoxCell([-1])
+    # bool is a subclass of int, but not a lattice coordinate
+    for spec in ([True], [(0, True)], [(False, 1)]):
+        with pytest.raises(ChainError, match="cell extent is not a pair of ints"):
+            BoxCell(spec)
 
 
 def test_degenerate_interval_is_fixed():
     _, (b,) = lattice_cells([(("1/2", "1/2"), (0, 1))])
     assert b.k == 1  # lo == hi is a fixed axis, not a zero-length interval
+
+
+@pytest.mark.parametrize("name", ["extents", "d", "k", "den", "coef"])
+def test_cell_is_immutable(name):
+    b = BoxCell([(0, 2), 1])
+    with pytest.raises(AttributeError):
+        setattr(b, name, 0)
+    assert b == BoxCell([(0, 2), 1])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cell_is_its_extents_tuple(seed):
+    cells = list(random_chain(seed, d=3, k=2, size=4).terms)
+    cells += [b.replace(0, 0, 0) for b in cells]  # some share their other extents
+    for b in cells:
+        assert type(b.extents) is tuple
+        assert b.extents == tuple(b) and b == b.extents
+        assert hash(b) == hash(b.extents)
+        assert b == BoxCell(b.extents)
+    for a, b in itertools.product(cells, repeat=2):
+        assert (a == b) is (a.extents == b.extents)
+        assert (a < b) is (a.extents < b.extents)
+    assert [b.extents for b in sorted(cells)] == sorted(b.extents for b in cells)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cell_pickles_and_deep_copies_through_the_checking_constructor(seed):
+    # process pools pickle chains; a cell comes back as a BoxCell, and its
+    # extents are checked again on the way in
+    c = random_chain(seed, d=3, k=2, size=4, ring=INTEGER)
+    for copied in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert copied.terms == c.terms
+        assert all(type(b) is BoxCell for b in copied.terms)
+    for b in c.terms:
+        assert type(pickle.loads(pickle.dumps(b))) is BoxCell
+        assert type(copy.deepcopy(b)) is BoxCell
+    bad = BoxCell._from_valid(((2, 1),))  # the fast constructor trusts its input
+    with pytest.raises(ChainError):
+        pickle.loads(pickle.dumps(bad))
+    with pytest.raises(ChainError):
+        copy.deepcopy(bad)
 
 
 # ------------------------------------------------------------- boundary
@@ -211,6 +258,8 @@ def test_canonicalization_idempotent(seed):
     again = RectChain.make(c.d, c.k, c.ring, list(c.terms.items()), c.den)
     assert again.terms == c.terms  # already-canonical input is a fixed point
     assert again.volume() == c.volume()
+    # cells() lists the terms sorted on the cells' extents
+    assert list(c.cells()) == sorted(c.terms.items(), key=lambda t: t[0].extents)
 
 
 def plane_key(box):
@@ -1027,6 +1076,16 @@ def test_equality_is_semantic_not_structural():
     )
     assert cross_v == cross_h
     assert cross_v.volume() == cross_h.volume() == F(5, 9)
+
+
+def test_equality_across_dimensions():
+    square, edge = chain_of(((0, "1/2"), (0, 1))), chain_of(("1/2", (0, 1)))
+    assert square != edge and edge != square
+    assert edge not in [square]
+    assert square != RectChain.zero(2, 2) and square != RectChain.zero(2, 1)
+    assert RectChain.zero(2, 1) == RectChain.zero(2, 2)  # zero is zero in any dimension
+    with pytest.raises(ChainError):
+        square + edge  # combining them still raises
 
 
 def test_volume_examples():

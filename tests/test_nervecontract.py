@@ -373,8 +373,7 @@ def nerve_by_region_products(parts):
         k += 1
         if nxt:
             levels[k] = nxt
-    max_dim = max(lvl for lvl, ss in levels.items() if ss)
-    return Nerve(simplices=levels, max_dim=max_dim, faces=faces, cofaces=cofaces)
+    return Nerve(simplices=levels, faces=faces, cofaces=cofaces)
 
 
 def assert_same_nerve(got, want):
