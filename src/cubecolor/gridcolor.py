@@ -59,9 +59,13 @@ class GridColoring:
                 )
 
     def flat_index(self, coords) -> int:
+        """The flat index of the cell at `coords`, which must be d
+        integers in [0, n); anything else raises ValueError."""
+        if len(coords) != self.d or min(coords) < 0 or max(coords) >= self.n:
+            raise ValueError(f"{tuple(coords)} is not a cell of the {self.n}^{self.d} grid")
         idx = 0
-        for a in reversed(range(self.d)):
-            idx = idx * self.n + coords[a]
+        for c in reversed(coords):
+            idx = idx * self.n + c
         return idx
 
     def color_at(self, coords) -> int:
@@ -129,30 +133,47 @@ def neighbor_offsets(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=32)
-def _neighbor_table(d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Flat neighbor indices per cell, precomputed once per grid shape."""
+def _neighbor_table(d: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """Per cell, the flat indices of its neighbours, and the position in
+    neighbor_offsets(d) of the offset leading to each of them, built
+    together once per grid shape.  The positions of a cell are one
+    `bytes` object (a tuple when d > 5, where they pass 255)."""
     strides = [n**a for a in range(d)]
-    table = []
+    offsets = neighbor_offsets(d)
+    row_of = bytes if len(offsets) <= 256 else tuple
+    table, positions = [], []
     for idx in range(n**d):
         coords = []
         rest = idx
         for _ in range(d):
             coords.append(rest % n)
             rest //= n
-        nbrs = []
-        for off in neighbor_offsets(d):
+        nbrs, pos = [], []
+        for p, off in enumerate(offsets):
             flat = 0
-            ok = True
             for a in range(d):
                 c = coords[a] + off[a]
                 if not 0 <= c < n:
-                    ok = False
                     break
                 flat += c * strides[a]
-            if ok:
+            else:
                 nbrs.append(flat)
+                pos.append(p)
         table.append(tuple(nbrs))
-    return tuple(table)
+        positions.append(row_of(pos))
+    return tuple(table), tuple(positions)
+
+
+@lru_cache(maxsize=16)
+def _ring_adjacency(d: int) -> tuple[int, ...]:
+    """Per position p in neighbor_offsets(d), the bit mask of the other
+    positions q whose offsets differ from p's by at most 1 on every axis."""
+    offsets = neighbor_offsets(d)
+    return tuple(
+        sum(1 << q for q, o in enumerate(offsets)
+            if o != off and all(abs(x - y) <= 1 for x, y in zip(off, o)))
+        for off in offsets
+    )
 
 
 @lru_cache(maxsize=32)
@@ -196,59 +217,45 @@ class ComponentReport:
         return len(self.sizes)
 
 
-def components(g: GridColoring) -> ComponentReport:
-    """Label monochromatic components; deterministic labels by smallest
-    contained flat cell index."""
-    total = g.n**g.d
-    table = _neighbor_table(g.d, g.n)
+def _label(g: GridColoring) -> tuple[list[int], list[list[int]]]:
+    """Per cell the label of its component, and per label its cells.
+    A flood fill starts at each unlabelled cell in flat order, so label
+    k numbers the component whose smallest cell is the k-th smallest
+    among the components' smallest cells."""
+    table = _neighbor_table(g.d, g.n)[0]
     cells = g.cells
-    parent = list(range(total))
+    label = [-1] * len(cells)
+    members = []
+    for start, color in enumerate(cells):
+        if label[start] >= 0:
+            continue
+        lab = len(members)
+        label[start] = lab
+        comp = [start]
+        for idx in comp:  # the loop reaches the cells appended in it
+            for k in table[idx]:
+                if label[k] < 0 and cells[k] == color:
+                    label[k] = lab
+                    comp.append(k)
+        members.append(comp)
+    return label, members
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for idx in range(total):
-        color = cells[idx]
-        for nbr in table[idx]:
-            if nbr > idx and cells[nbr] == color:
-                ra, rb = find(idx), find(nbr)
-                if ra != rb:
-                    if ra < rb:
-                        parent[rb] = ra
-                    else:
-                        parent[ra] = rb
-
-    roots: dict[int, int] = {}
-    labels = [0] * total
-    for idx in range(total):
-        r = find(idx)
-        if r not in roots:
-            roots[r] = len(roots)  # roots appear in increasing flat order
-        labels[idx] = roots[r]
-
-    m = len(roots)
-    sizes = [0] * m
-    colors = [0] * m
-    touch = [[[False, False] for _ in range(g.d)] for _ in range(m)]
+def components(g: GridColoring) -> ComponentReport:
+    """Label monochromatic components by one flood fill per component
+    (`_label`); labels are deterministic, numbered by smallest contained
+    flat cell index."""
+    label, members = _label(g)
     facets = _facet_table(g.d, g.n)
-    for idx in range(total):
-        lab = labels[idx]
-        sizes[lab] += 1
-        colors[lab] = cells[idx]
-        for a, side in facets[idx]:
-            touch[lab][a][side] = True
-
+    touched = [{f for idx in comp for f in facets[idx]} for comp in members]
     return ComponentReport(
         d=g.d,
         n=g.n,
         num_colors=g.num_colors,
-        component_id=tuple(labels),
-        sizes=tuple(sizes),
-        colors=tuple(colors),
-        facet_touch=tuple(tuple((lo, hi) for lo, hi in t) for t in touch),
+        component_id=tuple(label),
+        sizes=tuple(map(len, members)),
+        colors=tuple(g.cells[comp[0]] for comp in members),
+        facet_touch=tuple(tuple(((a, 0) in t, (a, 1) in t) for a in range(g.d)) for t in touched),
     )
 
 
@@ -256,38 +263,41 @@ class ComponentTracker:
     """The monochromatic components of a coloring, kept up to date under
     single-cell recolorings.
 
-    Built once from components(g).  It holds the label of each cell, the
-    member set of each label and a histogram of component sizes, so the
-    largest size and how many components have it read in O(1).
-    propose(idx, new) returns the (max_size, max_count) of the coloring
-    with cell idx recolored to new, without changing the tracker;
-    commit() applies the last proposal.
+    Built once from one flood-fill labelling (`_label`).  It holds the
+    label of each cell, the member set of each label and a histogram of
+    component sizes, so the largest size and how many components have it
+    read in O(1).  propose(idx, new) returns the (max_size, max_count) of
+    the coloring with cell idx recolored to new, without changing the
+    tracker; commit() applies the last proposal.
 
     A recoloring merges the new-color components around idx, and may
     split the old component of idx.  A merge relabels the smaller
     components into the largest one.  A split is first tested inside the
     3^d ring around idx: when the old-color neighbours stay connected
-    there, the rest of the component stays connected through them.
-    Otherwise one search per local group grows in turn, a cell at a time;
-    groups that meet are joined, and the search stops once at most one
-    group is still open.  The closed groups are the pieces split off, so
-    the cost is their size, not that of the whole component.
+    there, the rest of the component stays connected through them.  Ring
+    cells idx + p and idx + q touch exactly when the offsets p and q differ
+    by at most 1 on every axis, so the old-color ring is a bit mask over
+    offset positions, and its groups come from a flood over bits
+    (`_ring_adjacency`) that reads nothing of the grid.  With two groups
+    or more, one search per group grows in turn, a cell at a time; groups
+    that meet are joined, and the search stops once at most one group is
+    still open.  The closed groups are the pieces split off, so the cost
+    is their size, not that of the whole component.
     """
 
     def __init__(self, g: GridColoring):
-        rep = components(g)
+        label, comps = _label(g)
         self.num_colors = g.num_colors
         self.cells = list(g.cells)
-        self.label = list(rep.component_id)
-        self.members: dict[int, set[int]] = {lab: set() for lab in range(rep.num_components)}
-        for idx, lab in enumerate(self.label):
-            self.members[lab].add(idx)
-        self._next_label = rep.num_components
-        self._table = _neighbor_table(g.d, g.n)
+        self.label = label
+        self.members: dict[int, set[int]] = {lab: set(comp) for lab, comp in enumerate(comps)}
+        self._next_label = len(comps)
+        self._table, self._positions = _neighbor_table(g.d, g.n)
+        self._adjacency = _ring_adjacency(g.d)
         self.hist = [0] * (len(self.cells) + 1)  # components per size
-        for size in rep.sizes:
-            self.hist[size] += 1
-        self.max_size = rep.max_size
+        for comp in comps:
+            self.hist[len(comp)] += 1
+        self.max_size = max(map(len, comps))
         self.max_count = self.hist[self.max_size]
         self._pending = None
 
@@ -298,8 +308,15 @@ class ComponentTracker:
         if new == old or not 0 <= new < self.num_colors:
             raise ValueError(f"cannot recolor cell {idx} from {old} to {new}")
         size = len(members[label[idx]])
-        pieces = self._split(idx, [j for j in nbrs if cells[j] == old])
-        merged = {label[j] for j in nbrs if cells[j] == new}
+        same = 0  # bit p: the neighbour at offset position p has the old color
+        merged = set()
+        for j, p in zip(nbrs, self._positions[idx]):
+            c = cells[j]
+            if c == old:
+                same |= 1 << p
+            elif c == new:
+                merged.add(label[j])
+        pieces = self._split(idx, same)
         joined_sizes = [len(members[m]) for m in merged]
         joined = 1 + sum(joined_sizes)
         rest = size - 1 - sum(map(len, pieces))
@@ -320,28 +337,27 @@ class ComponentTracker:
         self._pending = (idx, new, pieces, merged, delta, result)
         return result
 
-    def _split(self, idx: int, same: list[int]) -> list[list[int]]:
+    def _split(self, idx: int, same: int) -> list[list[int]]:
         """The pieces that removing idx cuts off its component, all but
-        one: the piece left out keeps the old label.  `same` lists the
-        neighbours of idx in that component."""
-        if len(same) < 2:
+        one: the piece left out keeps the old label.  `same` has bit p set
+        when the neighbour of idx at offset position p lies in that
+        component."""
+        adjacency, masks, rest = self._adjacency, [], same
+        while rest:  # one flood over the bits of `rest` per ring group
+            group = front = rest & -rest
+            rest ^= group
+            while front:
+                bit = front & -front
+                front ^= bit
+                grown = adjacency[bit.bit_length() - 1] & rest
+                rest ^= grown
+                group |= grown
+                front |= grown
+            masks.append(group)
+        if len(masks) < 2:
             return []
-        table = self._table
-        ring = set(same)
-        groups = []
-        while ring:
-            seed = ring.pop()
-            group = [seed]
-            stack = [seed]
-            while stack:
-                for k in table[stack.pop()]:
-                    if k in ring:
-                        ring.remove(k)
-                        group.append(k)
-                        stack.append(k)
-            groups.append(group)
-        if len(groups) < 2:
-            return []
+        table, nbrs, pos = self._table, self._table[idx], self._positions[idx]
+        groups = [[j for j, p in zip(nbrs, pos) if mask >> p & 1] for mask in masks]
 
         cells, old = self.cells, self.cells[idx]
         owner = {idx: -1}  # cell -> group that reached it first

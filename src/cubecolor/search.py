@@ -178,7 +178,7 @@ def _branch_and_bound(d: int, n: int, num_colors: int, cap: int) -> tuple[int, l
     total = n**d
     if total == 1:
         return 1, [0]
-    lower = [tuple(j for j in nbrs if j < i) for i, nbrs in enumerate(_neighbor_table(d, n))]
+    lower = [tuple(j for j in nbrs if j < i) for i, nbrs in enumerate(_neighbor_table(d, n)[0])]
     parent = list(range(total))
     size = [1] * total
     cells = [0] * total

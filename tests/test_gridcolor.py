@@ -13,6 +13,7 @@ from cubecolor.gridcolor import (
     ComponentTracker,
     GridColoring,
     _neighbor_table,
+    _ring_adjacency,
     components,
     neighbor_offsets,
     parse_coloring,
@@ -139,6 +140,18 @@ def test_parse_bad_color_token_message(tok, message):
     with pytest.raises(ColoringFormatError) as err:
         parse_coloring(f"2 2 2\n0 0 1 {tok}")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("coords", [(3, 0), (-1, 0), (0, 0, 5), (0,)])
+def test_color_at_rejects_coordinates_off_the_grid(coords):
+    # unchecked, (3, 0) would wrap onto (0, 1), (-1, 0) onto (2, 2), and
+    # (0, 0, 5) would lose its third coordinate
+    g = GridColoring(2, 3, 9, tuple(range(9)))
+    with pytest.raises(ValueError) as err:
+        g.color_at(coords)
+    assert str(coords) in str(err.value)
+    with pytest.raises(ValueError):
+        g.flat_index(coords)
 
 
 def test_text_roundtrip():
@@ -271,10 +284,10 @@ def test_components_random_property(n, num_colors, data):
 
 
 def components_by_coords(g: GridColoring) -> ComponentReport:
-    """components() as it was before the facet table: the same union-find,
-    with the facet contacts read from the coordinates cell by cell."""
+    """Oracle of the flood fill: labels by a union-find over the neighbour
+    table, with the facet contacts read from the coordinates cell by cell."""
     total = g.n**g.d
-    table = _neighbor_table(g.d, g.n)
+    table = _neighbor_table(g.d, g.n)[0]
     cells = g.cells
     parent = list(range(total))
 
@@ -336,6 +349,46 @@ def test_components_match_coords_oracle(d, sides):
                 assert components(g) == components_by_coords(g), (n, num_colors, cells)
 
 
+@pytest.mark.parametrize("d,n", [(2, 16), (3, 6)])
+@pytest.mark.parametrize("seed", range(3))
+def test_components_match_coords_oracle_on_percolating_shapes(d, n, seed):
+    # random 2-colorings here have a component that spans the cube, so the
+    # flood fill runs through a large share of the grid at once
+    g = GridColoring(d, n, 2, tuple(random.Random(seed).randrange(2) for _ in range(n**d)))
+    rep = components(g)
+    assert rep == components_by_coords(g)
+    assert rep.max_size > n**d // 4 and spanning_report(rep)
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(1, 5) for n in range(1, 5)] + [(6, 2)])
+def test_neighbor_positions_name_the_offset_of_each_neighbour(d, n):
+    g = GridColoring(d, n, 1, (0,) * n**d)
+    offsets = neighbor_offsets(d)
+    table, positions = _neighbor_table(d, n)
+    for idx in range(n**d):
+        assert len(positions[idx]) == len(table[idx])
+        here = cell_coords(g, idx)
+        for j, p in zip(table[idx], positions[idx]):
+            assert cell_coords(g, j) == tuple(c + o for c, o in zip(here, offsets[p]))
+        # every offset that stays inside the grid is in the row
+        inside = [
+            p for p, off in enumerate(offsets) if all(0 <= c + o < n for c, o in zip(here, off))
+        ]
+        assert list(positions[idx]) == inside
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_ring_adjacency_marks_offsets_one_apart(d):
+    offsets = neighbor_offsets(d)
+    masks = _ring_adjacency(d)
+    assert len(masks) == len(offsets)
+    for p, off in enumerate(offsets):
+        for q, other in enumerate(offsets):
+            near = p != q and max(abs(x - y) for x, y in zip(off, other)) <= 1
+            assert bool(masks[p] >> q & 1) == near, (off, other)
+        assert masks[p] >> len(offsets) == 0
+
+
 # --------------------------------------------------------------- tracker
 
 
@@ -385,8 +438,12 @@ def tracker_walk(d, n, num_colors, seed, start, steps=60):
 
 
 @pytest.mark.parametrize("start", ["random", "one-color"])
-@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in range(1, 7)])
+@pytest.mark.parametrize(
+    "d,n", [(d, n) for d in (1, 2, 3) for n in range(1, 7)] + [(4, 2), (4, 3)]
+)
 def test_tracker_matches_fresh_components_on_random_walks(d, n, start):
+    # at d = 4 the ring has 80 offsets, so its masks pass 64 bits, and the
+    # rows of boundary cells miss offsets
     for num_colors in (2, 3, 4):
         tracker_walk(d, n, num_colors, seed=0, start=start)
 
@@ -416,6 +473,12 @@ def test_tracker_split_of_a_ring_reconnected_outside():
     t.commit()
     cells[22] = 1
     check_tracker(t, GridColoring(2, n, 2, tuple(cells)))
+
+
+def test_tracker_at_d6_where_offset_positions_pass_255():
+    # 3^6 - 1 = 728 offsets do not fit in a byte; the rows hold tuples
+    assert isinstance(_neighbor_table(6, 2)[1][0], tuple)
+    tracker_walk(6, 2, 2, seed=0, start="random", steps=40)
 
 
 def test_tracker_rejects_bad_moves():

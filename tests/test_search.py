@@ -145,7 +145,7 @@ def anneal_by_full_relabel(cfg):
 @pytest.mark.parametrize("d,n,colors,steps", [
     (1, 1, 2, 5), (1, 9, 2, 300), (1, 7, 3, 300), (2, 1, 3, 5), (2, 6, 2, 600),
     (2, 5, 3, 600), (2, 4, 4, 400), (2, 9, 2, 800), (3, 3, 2, 400), (3, 4, 3, 400),
-    (2, 4, 1, 10),
+    (2, 4, 1, 10), (4, 3, 2, 300),
 ])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_anneal_matches_full_relabel_loop(d, n, colors, steps, seed):
