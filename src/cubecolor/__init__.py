@@ -35,7 +35,6 @@ from .nervecontract import (
     contraction,
     mono_parts,
     nerve,
-    skeleton_volumes,
 )
 from .search import (
     SearchConfig,
@@ -78,7 +77,6 @@ __all__ = [
     "parse_coloring",
     "random_coloring",
     "random_relative_cycle",
-    "skeleton_volumes",
     "spanning_report",
     "stripe_construction",
     "sweep_slabs",

@@ -66,7 +66,6 @@ from typing import Iterable, Iterator, Sequence
 MOD2 = "mod2"
 INTEGER = "int"
 _RINGS = (MOD2, INTEGER)
-_UNION = "union"  # internal to union_normalize: an atom counts once however often covered
 
 
 class ChainError(ValueError):
@@ -209,8 +208,6 @@ def contacts(boxes: Sequence[BoxCell]) -> list[tuple[int, int, BoxCell]]:
 def _reduce_coef(coef: int, ring: str) -> int:
     if ring == MOD2:
         return coef % 2
-    if ring == _UNION:
-        return min(coef, 1)  # covered or not
     return coef
 
 
@@ -673,14 +670,6 @@ def random_relative_cycle(
     if c.is_zero():  # random boxes collided and cancelled; perturb the seed
         return random_relative_cycle(seed + 10_000_019, d, k, size, ring)
     return boundary(c, relative=True)
-
-
-def union_normalize(boxes: Iterable[BoxCell]) -> list[BoxCell]:
-    """Rewrite a family of same-dimension boxes as non-overlapping boxes
-    covering the same set (presence semantics, not mod-2 addition)."""
-    boxes = list(boxes)
-    d, k = (boxes[0].d, boxes[0].k) if boxes else (0, 0)
-    return list(_canonical_terms(_UNION, ((b, 1) for b in boxes), d, k))
 
 
 def dumps_chain(c: RectChain) -> str:

@@ -8,8 +8,9 @@ Given a coloring of the n^d grid, this module
 3. builds the nerve of the covering by parts, and in the same pass
    materializes every intersection of parts as an exact rectilinear
    chain, with the boundary of a k-fold intersection decomposing into
-   the (k+1)-fold ones; the intersections are read off the partition's
-   cell cliques (the sets of cells with a common point),
+   the (k+1)-fold ones; the intersections, and every part's skeleton
+   volumes, are read off the partition's cell cliques (the sets of cells
+   with a common point) in one walk,
 4. contracts: by descending induction every intersection chain is filled
    so that the family F satisfies
        boundary(F(s)) = C(s) - sum over cofaces of F   (mod cube bdry),
@@ -32,9 +33,8 @@ multiplicity), never assumed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property
 from fractions import Fraction
 
 from .bounds import _rat, g_constant
@@ -43,12 +43,10 @@ from .chains import (
     BoxCell,
     FillError,
     RectChain,
-    boundary,
     contacts,
     fill,
     fundamental_chain,
     is_relative_cycle,
-    union_normalize,
     vanishes,
 )
 from .gridcolor import GridColoring
@@ -108,31 +106,12 @@ class ShiftedPartition:
         """The touching cell pairs with their intersections; see chains.contacts."""
         return contacts([pc.box for pc in self.cells])
 
-    def cliques(self, key):
-        """The cliques of the contact graph whose cells have strictly
-        increasing `key[i]`, each once as a tuple of cell ids, in
-        lexicographic order.  Closed boxes that meet pairwise share a point
-        (Helly's theorem for boxes), so these are exactly the sets of such
-        cells with a common point."""
-        later: list[set[int]] = [set() for _ in self.cells]
-        for i, j, _ in self.contacts:
-            if key[i] > key[j]:
-                i, j = j, i
-            if key[i] < key[j]:
-                later[i].add(j)
-
-        def walk(clique: tuple[int, ...], common: set[int]):
-            yield clique
-            for j in sorted(common):
-                yield from walk(clique + (j,), common & later[j])
-
-        for i in range(len(self.cells)):
-            yield from walk((i,), later[i])
-
     def max_multiplicity(self) -> int:
         """Largest number of closed cells sharing a point: the size of the
-        largest clique (see `cliques`).  A branch stops once its size plus
-        its candidates cannot beat the largest clique found so far."""
+        largest clique of the contact graph, as closed boxes that meet
+        pairwise share a point (Helly's theorem for boxes).  A branch stops
+        once its size plus its candidates cannot beat the largest clique
+        found so far."""
         later: list[set[int]] = [set() for _ in self.cells]
         for i, j, _ in self.contacts:  # i < j
             later[i].add(j)
@@ -301,14 +280,15 @@ class Nerve:
     sorted index tuples, and these maps are read with them directly.
     `faces` maps every simplex to its intersection chain: a vertex (i,) to
     the chain of part i, k+1 parts to the pieces of dimension d - k of
-    their common intersection, each once (the zero chain when the parts
-    meet only in lower dimension).  `cofaces` maps a simplex to the
+    their common intersection, each once.  `cofaces` maps a simplex to the
     simplices one vertex larger that contain it; a maximal simplex has no
-    entry."""
+    entry.  `skeleton` maps (part, k), k = 1..d, to the volume of the
+    part's codimension-k skeleton (see `_strata`)."""
 
     simplices: dict[int, list[tuple[int, ...]]]
     faces: dict[tuple[int, ...], RectChain] = field(repr=False)
     cofaces: dict[tuple[int, ...], list[tuple[int, ...]]] = field(repr=False)
+    skeleton: dict[tuple[int, int], Fraction] = field(repr=False)
 
     @property
     def max_dim(self) -> int:
@@ -338,26 +318,171 @@ def _face(simplex: tuple[int, ...], pieces: list[BoxCell], den: int) -> RectChai
     return chain
 
 
+def _strata(partition: ShiftedPartition, owner: dict[int, int]):
+    """One walk over the cell cliques that hold two or more parts: the
+    nerve's pieces and every part's skeleton volumes.
+
+    `owner` maps each cell to its part.  Returns `pieces`, which maps each
+    sorted tuple of distinct parts to the boxes of the cliques with one
+    cell in each, and `volumes`, which maps (part, k), 1 <= k <= d, to the
+    lattice volume over den^(d-k) of the part's codimension-k skeleton.
+    Level 1 of a part's skeleton is its relative boundary, the union of
+    its pair faces F(i, j); level k+1 is the union of the
+    (d-k-1)-dimensional meets of level-k pieces fixed on different axes.
+    A clique grows one cell at a time, in increasing cell order, and its
+    box (the cells' common intersection) with it, from the pair boxes of
+    `contacts`.  A clique of k+1 cells must meet in a box fixed on exactly
+    k axes, as in a simple partition; else an IdentityError names them.
+
+    The rule.  On each fixed axis of a clique's box B, a cell lies on the
+    + side (its low end is B's coordinate there), on the - side (its high
+    end is) or on both.  B is in part p's level-k skeleton exactly when
+    the set of orthants that p's cells cover changes under a flip of each
+    of the k axes; then vol(B) is added to (p, k).  The cells at a point x
+    form a clique whose box holds x, and near x each is such a sign cone
+    on every axis.  As the cells tile the cube, on each axis all of them
+    lie on both sides, or some lie on each side alone: if none lay on the
+    - side alone, the cells covering it would lie on both, and overlap
+    any on the + side alone.
+    So near x they are cones on the box's fixed axes times its free axes.
+    Three facts make the rule local:
+
+    1. A generic point x of B, off the boxes of larger cliques, meets only
+       the clique's cells: one more would make a larger clique, whose box
+       has fewer free axes.  So the cells' cones tile the 2^k orthants at
+       x, and near x part p is the union of its cells' cones.
+    2. The boxes of distinct (k+1)-cliques meet in measure zero: their
+       cells form a larger clique, whose box holds the meet.
+    3. Each skeleton level is local: whether it covers x depends only on
+       the part near x.  Where just j+1 cells meet at x, the part is a
+       cone on j axes there, whose skeleton stops at level j; so level k
+       lies in the boxes of (k+1)-cliques up to measure zero, and by 2 its
+       volume is the sum of theirs in it.
+
+    On the cone model, a union of closed orthants of R^k with indicator
+    f, the level-j pieces are faces F fixed at 0 on a set A of j axes,
+    with signs off A.  Claim: F is in level j iff the restriction h of f
+    to the 2^j orthants at F depends on every axis of A (h is full).  At
+    j = 1 F is a wall iff f differs on its two sides.  At j > 1, F is in
+    level j iff it is the meet of level-(j-1) faces fixed on A - {a} and
+    A - {b}, a != b: by induction, iff some restrictions of h to x_a = s
+    and to x_b = t are full; then h depends on every axis of A - {a} and
+    of A - {b}, so of A.  Conversely let h be full, and a an axis.  Among
+    the proper faces of {+,-}^A on which a is free and h is full (an edge
+    across which h changes is one), take a largest, G.  If G fixed two
+    axes or more, freeing one, b, would give a larger proper face, not
+    full: so h is the same on G and on G flipped in b, again a largest
+    such face, and flipping axis after axis, h would ignore G's fixed
+    axes.  So G is a facet x_b = s with b != a; from b, the same gives a
+    second axis.  At F = {0}, j = k: B is in level k iff p's orthant set
+    depends on every axis.  At k = d the boxes are points, counted once.
+
+    The skeleton is relative to the cube boundary, and no clique box lies
+    in it: a fixed coordinate of B is one cell's high end and another's
+    low end, and every cell has positive length on every axis.  With two
+    parts the orthant sets are complements, so one test serves both; a
+    subtree whose cells and candidates are all one part is skipped, as
+    one part covers every orthant and makes no nerve piece.
+    """
+    d = partition.d
+    boxes = [pc.box for pc in partition.cells]
+    later: list[dict[int, BoxCell]] = [{} for _ in boxes]
+    for i, j, x in partition.contacts:
+        later[i][j] = x
+    # bit o of low[t]: orthant o is on the - side of the clique's t-th fixed axis
+    low = [sum(1 << o for o in range(1 << d) if not o >> t & 1) for t in range(d)]
+    pieces: dict[tuple[int, ...], dict[BoxCell, None]] = {}
+    volumes = dict.fromkeys([(p, k) for p in set(owner.values()) for k in range(1, d + 1)], 0)
+
+    @cache
+    def full(s: int, k: int) -> bool:  # the orthant set s depends on each of the k axes
+        return all((s ^ s >> (1 << t)) & low[t] for t in range(k))
+
+    def walk(clique, owners, cones, fixed, box, common):
+        # fixed: (axis, coordinate) of the box's fixed axes, in the order
+        # they were fixed; bit t of an orthant is its side of fixed[t] (1
+        # for +), and cones[c] has bit o set when clique[c] covers orthant o
+        k = len(clique)
+        half = 1 << len(fixed)
+        mixed = owners.count(owners[0]) < k
+        taken = {a for a, _ in fixed}
+        free = [a for a in range(d) if a not in taken]
+        for j in common:
+            bj = boxes[j]
+            if k == 1:
+                x = later[clique[0]][j]
+            else:
+                x = [
+                    (alo if alo > blo else blo, ahi if ahi < bhi else bhi)
+                    for (alo, ahi), (blo, bhi) in zip(box, bj)
+                ]
+            new = [a for a in free if x[a][0] == x[a][1]]
+            if len(new) != 1:
+                raise IdentityError(
+                    f"nerve: cells {clique + (j,)} meet in {BoxCell._from_valid(x)}, "
+                    f"fixed on {len(fixed) + len(new)} axes, not {k}: "
+                    "the partition is not simple"
+                )
+            (a,) = new
+            at = x[a][0]
+            grown = []
+            for i, ci in zip(clique, cones):
+                lo, hi = boxes[i][a]
+                grown.append(ci << half if lo == at else ci if hi == at else ci | ci << half)
+            cone, t = 1, 1  # cell j's orthants, one fixed axis at a time
+            for b, c in fixed + [(a, at)]:
+                lo, hi = bj[b]
+                cone = cone << t if lo == c else cone if hi == c else cone | cone << t
+                t <<= 1
+            o = owner[j]
+            grown_mixed = mixed or o != owners[0]
+            if grown_mixed:
+                covered = {o: cone}
+                for p, ci in zip(owners, grown):  # the cells before j
+                    covered[p] = covered.get(p, 0) | ci
+                if len(covered) == k + 1:
+                    pieces.setdefault(tuple(sorted(covered)), {})[BoxCell._from_valid(x)] = None
+                vol = 1
+                for b in free:
+                    if b != a:
+                        lo, hi = x[b]
+                        vol *= hi - lo
+                if len(covered) == 2:  # complements: one test serves both
+                    p, q = covered
+                    if full(covered[p], k):
+                        volumes[p, k] += vol
+                        volumes[q, k] += vol
+                else:
+                    for p, s in covered.items():
+                        if full(s, k):
+                            volumes[p, k] += vol
+            rest = common & later[j].keys()
+            if rest and (grown_mixed or any(owner[c] != o for c in rest)):
+                walk(clique + (j,), owners + (o,), [*grown, cone], fixed + [(a, at)], x, rest)
+
+    for i, ahead in enumerate(later):
+        if any(owner[j] != owner[i] for j in ahead):
+            walk((i,), (owner[i],), [1], [], boxes[i], set(ahead))
+    return pieces, volumes
+
+
 def nerve(
     partition: ShiftedPartition, parts: list[Part], max_multiplicity: int | None = None
 ) -> Nerve:
-    """All nonempty closed intersections of parts, with their chains.
+    """All nonempty closed intersections of parts, with their chains, and
+    the parts' skeleton volumes, from one clique walk (`_strata`).
 
     The parts must cover the partition's cells, each once.  The pieces of
-    a simplex are the distinct intersections of the cell cliques with one
-    cell in each of its parts, in lexicographic order of the cliques.
-    Simplices are created in order of size, then index tuple.  When
-    `max_multiplicity` is given, a simplex on more parts than that is
-    reported as a hard MultiplicityError rather than silently accepted.
+    a simplex are the distinct boxes of the cell cliques with one cell in
+    each of its parts.  Simplices are created in order of size, then index
+    tuple.  When `max_multiplicity` is given, a simplex on more parts than
+    that is reported as a hard MultiplicityError rather than silently
+    accepted.
     """
     if sorted(c for p in parts for c in p.cell_ids) != list(range(len(partition.cells))):
         raise ValueError("the parts' cell_ids must cover the partition's cells, each once")
     owner = {c: p.id for p in parts for c in p.cell_ids}
-    pieces: dict[tuple[int, ...], dict[BoxCell, None]] = {}
-    for clique in partition.cliques(owner):
-        if len(clique) > 1:
-            box = reduce(BoxCell.intersect, (partition.cells[c].box for c in clique))
-            pieces.setdefault(tuple(owner[c] for c in clique), {})[box] = None
+    pieces, volumes = _strata(partition, owner)
     levels: dict[int, list[tuple[int, ...]]] = {0: [(p.id,) for p in parts]}
     faces = {(p.id,): p.chain() for p in parts}
     cofaces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -368,7 +493,9 @@ def nerve(
         faces[t] = _face(t, list(pieces[t]), partition.den)
         for v in t:
             cofaces.setdefault(tuple(u for u in t if u != v), []).append(t)
-    return Nerve(simplices=levels, faces=faces, cofaces=cofaces)
+    den, d = partition.den, partition.d
+    skeleton = {(p, k): Fraction(v, den ** (d - k)) for (p, k), v in volumes.items()}
+    return Nerve(simplices=levels, faces=faces, cofaces=cofaces, skeleton=skeleton)
 
 
 def _cycle(nrv: Nerve, fillings: dict[tuple[int, ...], RectChain], s) -> RectChain:
@@ -455,116 +582,6 @@ class AuditReport:
         }
 
 
-def skeleton_volumes(chain: RectChain) -> list[Fraction]:
-    """Exact volumes of every codimension-k skeleton of the region carried
-    by a d-chain, indexed by k = 0..d.
-
-    The skeleton is geometric: codimension 1 is the topological boundary
-    of the region (internal walls between its boxes are not faces of the
-    region), and each deeper level is the singular set of the previous
-    one — the union of pairwise intersections of its non-coflat pieces.
-    At k = d the result counts the corner points, each once.  k = 0 is
-    the volume of the chain itself.
-
-    The skeleton is taken relative to the cube boundary, like every other
-    object in this pipeline: faces supported inside a facet of the cube
-    are dropped.  Its walls are the cells of the relative boundary; the
-    audit hands `_skeleton` the walls the nerve built instead.
-    """
-    # only the relative skeleton obeys g(d,k): a clipped cell's absolute one exceeds it
-    walls = list(boundary(chain, relative=True).terms)
-    return [chain.volume(), *_skeleton(walls, chain.d, chain.den)]
-
-
-def _skeleton(walls: list[BoxCell], d: int, den: int) -> list[Fraction]:
-    """Volumes of the codimension-k skeleton, k = 1..d, of a d-region whose
-    relative boundary is the union of the (d-1)-cells `walls`, over `den`.
-
-    The walls must overlap only in measure zero; then their volumes add up
-    exactly at k = 1.  Every deeper level is built once from the one above
-    it by `_bends`, and comes out of union_normalize, so it depends only
-    on the set the walls cover, not on how they cut it; at k = d the
-    pieces are points, each counted once.  Relative needs no check below
-    k = 1: every fixed coordinate of a deeper piece is the fixed coordinate
-    of a wall, which lies strictly inside (0, 1), as no wall lies in the
-    cube boundary.
-    """
-    pieces = walls
-    volumes = [Fraction(sum(b.volume() for b in pieces), den ** (d - 1))]
-    for target in range(d - 2, -1, -1):
-        found = _bends(pieces)
-        pieces = list(dict.fromkeys(found)) if target == 0 else union_normalize(found)
-        volumes.append(Fraction(sum(b.volume() for b in pieces), den**target))
-    return volumes
-
-
-def _bends(pieces: list[BoxCell]) -> list[BoxCell]:
-    """The intersections of dimension k-1 of the pairs of k-pieces that
-    lie on different planes, each pair once.
-
-    Two pieces fixed on the same axes are coflat, which do not bend, or
-    apart on a fixed coordinate.  Otherwise call their patterns (sets of
-    fixed axes) P and Q.  The free axes of the intersection lie among the
-    k - |free(P) minus free(Q)| free axes the two share, so dimension k-1
-    needs exactly one axis `a` that P spans and Q fixes; as both span k
-    axes, there is then exactly one axis `b` that Q spans and P fixes.
-    Closed boxes meet exactly when their intervals meet on every axis:
-    the shared fixed coordinates are equal, Q's coordinate on `a` lies in
-    P's interval there, P's coordinate on `b` lies in Q's interval, and
-    the shared free intervals meet, each with positive length for the
-    intersection to keep dimension k-1.
-
-    So per pattern pair Q's pieces are keyed on their shared fixed
-    coordinates and sorted on `a`, and each P piece bisects its interval
-    on `a` into its key's list; the remaining conditions are tested on
-    what the bisect returns.  The bisect cannot be a scan of the key's
-    list: at d = 3 the walls' pattern pairs share no fixed axis, so one
-    key holds every piece of a plane orientation.
-    """
-    d = pieces[0].d if pieces else 0
-    by_mask: dict[int, list[BoxCell]] = {}
-    for c in pieces:
-        mask = sum(1 << x for x, (lo, hi) in enumerate(c) if lo < hi)
-        by_mask.setdefault(mask, []).append(c)
-    out = []
-    masks = sorted(by_mask)
-    for p, q in [(p, q) for i, p in enumerate(masks) for q in masks[i + 1 :]]:
-        only_p, only_q = p & ~q, q & ~p
-        if only_p & (only_p - 1):  # more than one axis each way: too thin
-            continue
-        a, b = only_p.bit_length() - 1, only_q.bit_length() - 1
-        fixed = [x for x in range(d) if not (p | q) >> x & 1]
-        shared = [x for x in range(d) if (p & q) >> x & 1]
-        index: dict[tuple, tuple[list, list]] = {}  # shared fixed coordinates -> Q sorted on a
-        for eq in sorted(by_mask[q], key=lambda e: e[a][0]):
-            coords, members = index.setdefault(tuple([eq[x][0] for x in fixed]), ([], []))
-            coords.append(eq[a][0])
-            members.append(eq)
-        for ep in by_mask[p]:
-            found = index.get(tuple([ep[x][0] for x in fixed]))
-            if found is None:
-                continue
-            coords, members = found
-            lo, hi = ep[a]
-            at = ep[b][0]
-            for eq in members[bisect_left(coords, lo) : bisect_right(coords, hi)]:
-                blo, bhi = eq[b]
-                if not blo <= at <= bhi:
-                    continue
-                ext = list(ep)  # already P's fixed coordinates, `b` included
-                ext[a] = eq[a]
-                for x in shared:
-                    (plo, phi), (qlo, qhi) = ep[x], eq[x]
-                    xlo = plo if plo > qlo else qlo
-                    xhi = phi if phi < qhi else qhi
-                    if xlo >= xhi:
-                        break
-                    ext[x] = (xlo, xhi)
-                else:
-                    out.append(BoxCell._from_valid(ext))
-    return out
-
-
 def assemble_and_audit(
     parts: list[Part],
     nrv: Nerve,
@@ -574,18 +591,8 @@ def assemble_and_audit(
     check_skeleton: bool = True,
 ) -> AuditReport:
     """Assemble the per-part cycles and audit every exact identity and
-    volume bound; every failure is listed in the report.
-
-    The skeleton of part i takes as walls the cells of its pair faces
-    F(i, j), which the nerve already built, instead of a boundary of C_i.
-    eq2 at (i,), checked in the same report, says that these faces sum to
-    the boundary of C_i mod 2, modulo the cube boundary.  Faces of
-    distinct pairs meet only in measure zero: a (d-1)-piece common to
-    three cells of a tiling would leave one of them overlapping another.
-    So the sum covers exactly the union of their cells, and that union is
-    the region's relative boundary, the set `skeleton_volumes` takes its
-    walls from; each level below depends only on that set.  Where eq2
-    fails, the report has failed already.
+    volume bound; every failure is listed in the report.  The skeleton
+    rows read the volumes the nerve's clique walk left in `nrv.skeleton`.
     """
     d = parts[0].boxes[0].d
     failures: list[str] = []
@@ -658,8 +665,8 @@ def assemble_and_audit(
     g_ok = True
     if check_skeleton:
         for p in parts:
-            walls = [c for t in nrv.cofaces.get((p.id,), []) for c in nrv.faces[t].terms]
-            for k, skel in enumerate(_skeleton(walls, d, p.den), start=1):
+            for k in range(1, d + 1):
+                skel = nrv.skeleton[p.id, k]
                 bnd = g_constant(d, k) * p.volume * Fraction(n) ** k
                 ok = skel <= bnd
                 g_rows.append(

@@ -27,7 +27,6 @@ from cubecolor.nervecontract import (
     build_shifted_partition,
     certify_coloring,
     mono_parts,
-    skeleton_volumes,
 )
 from cubecolor.search import (
     SearchConfig,
@@ -36,6 +35,8 @@ from cubecolor.search import (
     random_coloring,
     stripe_construction,
 )
+
+from oracles import skeleton_volumes
 
 DATA = Path(__file__).parent / "data"
 
@@ -134,9 +135,11 @@ def test_criterion_3_s_recursion(pipeline_runs):
 
 
 def test_criterion_4_skeleton_bound():
-    """skeleton_volumes(chain)[k] <= g(d,k) * volume * n^k for every part of
-    random d in {2,3}, n=3 instances; per-box face volumes are verified
-    against a direct enumeration."""
+    """The certify report's skeleton rows equal the geometric skeleton of
+    each part's region (the oracle in tests/oracles.py), and obey
+    skeleton <= g(d,k) * volume * n^k, for every part of random d in
+    {2,3}, n=3 instances; per-box face volumes are verified against a
+    direct enumeration."""
     from math import comb
 
     checked = 0
@@ -144,13 +147,20 @@ def test_criterion_4_skeleton_bound():
         partition = build_shifted_partition(d, 3, delta)
         for seed in seeds:
             g = random_coloring(d, 3, 2, seed)
+            report = certify_coloring(g, delta=delta).to_json()
+            assert report["g_ok"], (d, seed)
+            rows = {(row["part"], row["k"]): row for row in report["g_checks"]}
             parts = mono_parts(partition, g)
+            assert len(rows) == len(parts) * d
             for part in parts:
                 skeleton = skeleton_volumes(part.chain())
                 for k in range(1, d + 1):
-                    skel = skeleton[k]
+                    row = rows[part.id, k]
+                    skel = F(row["skeleton"]["exact"])
                     bound = g_constant(d, k) * part.volume * F(3) ** k
-                    assert skel <= bound, (d, seed, part.id, k)
+                    assert skel == skeleton[k], (d, seed, part.id, k)
+                    assert F(row["bound"]["exact"]) == bound, (d, seed, part.id, k)
+                    assert row["ok"] and skel <= bound, (d, seed, part.id, k)
                     checked += 1
                 # direct-count oracle for the per-box face volumes
                 for b in part.boxes:
@@ -167,7 +177,7 @@ def test_criterion_4_skeleton_bound():
                             for fixed in _ksubsets(interval_axes(b), k)
                         )
                         assert total == expect
-    announce("4 skeleton bound", f"{checked} part/k inequalities exact")
+    announce("4 skeleton bound", f"{checked} report rows equal the oracle, bounds exact")
 
 
 def box_face_volume(box, k: int) -> tuple[int, F]:

@@ -23,7 +23,6 @@ from cubecolor.chains import (
     RectChain,
     SectionError,
     _canonical_terms,
-    _UNION,
     _merge_plane,
     _pick_slab,
     _reduce_coef,
@@ -37,12 +36,13 @@ from cubecolor.chains import (
     modulo_boundary,
     random_relative_cycle,
     sweep_slabs,
-    union_normalize,
     vanishes,
 )
 from cubecolor import chains as chains_module
 from cubecolor.nervecontract import _cycle, build_shifted_partition, contraction, mono_parts, nerve
 from cubecolor.search import random_coloring
+
+from oracles import union_normalize
 
 
 DATA = Path(__file__).parent / "data"
@@ -297,6 +297,24 @@ def old_merge_atoms(atoms, nfree):
     return atoms
 
 
+UNION = "union"  # presence: a cell counts once however often it is covered
+
+
+def reduce_coef(coef, ring):
+    """`_reduce_coef`, with the union ring besides."""
+    return min(coef, 1) if ring == UNION else _reduce_coef(coef, ring)
+
+
+def merge_plane(ring, key, members):
+    """`_merge_plane`; in the union ring, the plane step of
+    oracles.union_normalize: the integer cut into disjoint cells, each
+    covered a positive number of times, then their mod-2 merge."""
+    if ring != UNION:
+        return _merge_plane(ring, key, members)
+    covered = _merge_plane(INTEGER, key, members)
+    return _merge_plane(MOD2, key, [(c, 1) for c, _ in covered])
+
+
 def old_merge_plane(ring, key, members):
     """The plane merge as it was before it swept rows: every member is cut
     on all of the plane's breakpoints and the atoms are merged."""
@@ -312,7 +330,7 @@ def old_merge_plane(ring, key, members):
             per_axis.append(segs[rank[lo] : rank[hi]])
         for combo in itertools.product(*per_axis):
             atoms[combo] = atoms.get(combo, 0) + coef
-    atoms = {e: cf for e, cf in ((e, _reduce_coef(c, ring)) for e, c in atoms.items()) if cf}
+    atoms = {e: cf for e, cf in ((e, reduce_coef(c, ring)) for e, c in atoms.items()) if cf}
     for ext, coef in old_merge_atoms(atoms, len(free)).items():
         full = [(v, v) for v in key]
         for a, e in zip(free, ext):
@@ -745,7 +763,7 @@ def plane_members(draw, ring):
         return BoxCell._from_valid(tuple(next(spans) if v is None else (v, v) for v in key))
 
     def coef():
-        if ring == _UNION:
+        if ring == UNION:
             return 1
         return _reduce_coef(draw(st.integers(-3, 3).filter(bool)), ring) or 1
 
@@ -765,7 +783,7 @@ def plane_members(draw, ring):
         else:
             c = coef()
             members.append((cell(spans), c))
-            neg = c if ring == _UNION else _reduce_coef(-c, ring)
+            neg = c if ring == UNION else _reduce_coef(-c, ring)
             if move == "cancel":
                 members.append((cell(spans), neg))
             else:
@@ -778,23 +796,23 @@ def plane_members(draw, ring):
     return key, members
 
 
-@pytest.mark.parametrize("ring", [MOD2, INTEGER, _UNION])
+@pytest.mark.parametrize("ring", [MOD2, INTEGER, UNION])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_merge_plane_matches_atom_grid(ring, data):
     # same cells and coefficients as cutting on all breakpoints
     key, members = data.draw(plane_members(ring))
-    assert dict(_merge_plane(ring, key, members)) == dict(old_merge_plane(ring, key, members))
+    assert dict(merge_plane(ring, key, members)) == dict(old_merge_plane(ring, key, members))
 
 
-@pytest.mark.parametrize("ring", [MOD2, INTEGER, _UNION])
+@pytest.mark.parametrize("ring", [MOD2, INTEGER, UNION])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_merge_plane_is_a_fixed_point_of_the_atom_merge(ring, data):
     # one round of joins is the whole merge: another on every free axis changes nothing
     key, members = data.draw(plane_members(ring))
     free = [a for a, v in enumerate(key) if v is None]
-    boxes = {tuple(c.extents[a] for a in free): cf for c, cf in _merge_plane(ring, key, members)}
+    boxes = {tuple(c.extents[a] for a in free): cf for c, cf in merge_plane(ring, key, members)}
     assert old_merge_atoms(boxes, len(free)) == boxes
 
 
@@ -838,7 +856,7 @@ def grid_merge_plane(ring, key, members):
         elementary, total = [], 0
         for lo, hi in zip(marks, marks[1:]):
             total += steps[lo]
-            cf = _reduce_coef(total, ring)
+            cf = reduce_coef(total, ring)
             if cf:
                 elementary.append(((lo, hi), cf))
         for ext, cf in grid_join(elementary):
@@ -860,7 +878,7 @@ def grid_merge_plane(ring, key, members):
 
 def ring_coef(draw, ring):
     """A nonzero coefficient as `_canonical_terms` hands it on: reduced."""
-    if ring == _UNION:
+    if ring == UNION:
         return 1
     return _reduce_coef(draw(st.integers(-3, 3).filter(bool)), ring) or 1
 
@@ -870,7 +888,7 @@ def repeat_and_cancel(draw, ring, members):
     (mod 2 a copy cancels; in the union ring it covers twice), shuffled."""
     out = list(members)
     for c, cf in draw(st.lists(st.sampled_from(members), max_size=3)):
-        neg = cf if ring == _UNION else _reduce_coef(-cf, ring)
+        neg = cf if ring == UNION else _reduce_coef(-cf, ring)
         out.append((c, draw(st.sampled_from([cf, neg]))))
     return draw(st.permutations(out))
 
@@ -922,21 +940,21 @@ def staggered_stacks(draw, ring):
     return key, repeat_and_cancel(draw, ring, members)
 
 
-@pytest.mark.parametrize("ring", [MOD2, INTEGER, _UNION])
+@pytest.mark.parametrize("ring", [MOD2, INTEGER, UNION])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_merge_plane_matches_the_row_grid(ring, data):
     # the slab sweep gives the cells of cutting on all breakpoints
     key, members = data.draw(sweep_planes(ring) | plane_members(ring))
-    assert dict(_merge_plane(ring, key, members)) == dict(grid_merge_plane(ring, key, members))
+    assert dict(merge_plane(ring, key, members)) == dict(grid_merge_plane(ring, key, members))
 
 
-@pytest.mark.parametrize("ring", [MOD2, INTEGER, _UNION])
+@pytest.mark.parametrize("ring", [MOD2, INTEGER, UNION])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_merge_plane_matches_the_row_grid_on_staggered_stacks(ring, data):
     key, members = data.draw(staggered_stacks(ring))
-    assert dict(_merge_plane(ring, key, members)) == dict(grid_merge_plane(ring, key, members))
+    assert dict(merge_plane(ring, key, members)) == dict(grid_merge_plane(ring, key, members))
 
 
 @pytest.mark.parametrize("colors", [2, 3, 4, 5])

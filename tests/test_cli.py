@@ -250,7 +250,8 @@ def test_certify_multiplicity_failure_names_the_stage(tmp_path, capsys, monkeypa
 
 
 def test_certify_face_overlap_names_the_stage(tmp_path, capsys, monkeypatch):
-    # part 1's boxes overlap, so its two wall pieces against part 0 overlap
+    # part 1's boxes overlap, so the three cells meet in a box fixed on one
+    # axis, where three cells must be fixed on two
     den, boxes = lattice_cells([((0, "1/2"), (0, 1)), (("1/2", 1), (0, "1/2")),
                                 (("1/2", 1), ("1/4", 1))])
     p = ShiftedPartition(2, 1, 0, [PartitionCell(b, (0, 0)) for b in boxes], den)
@@ -261,7 +262,7 @@ def test_certify_face_overlap_names_the_stage(tmp_path, capsys, monkeypatch):
     path = write_coloring(tmp_path, "h.txt", "2 1 2\n0\n")
     code, out, err = run(capsys, "certify", path)
     assert (code, out) == (1, "")
-    assert err.startswith("identity failure: nerve: intersection pieces of (0, 1) overlap")
+    assert err.startswith("identity failure: nerve: cells (0, 1, 2) meet in ")
 
 
 def test_certify_contraction_failure_names_the_stage(tmp_path, capsys, monkeypatch):

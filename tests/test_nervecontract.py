@@ -24,7 +24,6 @@ from cubecolor.chains import (
     is_relative_cycle,
     lattice_cells,
     modulo_boundary,
-    union_normalize,
 )
 from cubecolor.gridcolor import parse_coloring
 from cubecolor.nervecontract import (
@@ -36,16 +35,16 @@ from cubecolor.nervecontract import (
     PartitionError,
     ShiftedPartition,
     _face,
-    _skeleton,
     assemble_and_audit,
     build_shifted_partition,
     certify_coloring,
     contraction,
     mono_parts,
     nerve,
-    skeleton_volumes,
 )
 from cubecolor.search import random_coloring
+
+from oracles import pair_face_walls, skeleton_from_walls, skeleton_volumes, union_normalize
 
 
 DATA = Path(__file__).parent / "data"
@@ -111,9 +110,29 @@ def scan_multiplicity(p):
     return max(sum(1 for pc in p.cells if contains_point(pc.box, pt)) for pt in product(*axes))
 
 
+def cliques(p, key):
+    """The cliques of the partition's contact graph whose cells have
+    strictly increasing `key[i]`, each once as a tuple of cell ids, in
+    lexicographic order: the sets of such cells with a common point."""
+    later = [set() for _ in p.cells]
+    for i, j, _ in p.contacts:
+        if key[i] > key[j]:
+            i, j = j, i
+        if key[i] < key[j]:
+            later[i].add(j)
+
+    def walk(clique, common):
+        yield clique
+        for j in sorted(common):
+            yield from walk(clique + (j,), common & later[j])
+
+    for i in range(len(p.cells)):
+        yield from walk((i,), later[i])
+
+
 def full_walk_multiplicity(p):
     """Oracle: the size of the largest of all the cliques, every one walked."""
-    return max(map(len, p.cliques(range(len(p.cells)))), default=0)
+    return max(map(len, cliques(p, range(len(p.cells)))), default=0)
 
 
 def partition_of(boxes, d) -> ShiftedPartition:
@@ -373,7 +392,7 @@ def nerve_by_region_products(parts):
         k += 1
         if nxt:
             levels[k] = nxt
-    return Nerve(simplices=levels, faces=faces, cofaces=cofaces)
+    return Nerve(simplices=levels, faces=faces, cofaces=cofaces, skeleton={})  # not compared
 
 
 def assert_same_nerve(got, want):
@@ -408,10 +427,27 @@ def test_nerve_matches_region_product_oracle(d, n):
                     assert nerve(p, parts, bound).simplices == want.simplices
 
 
+def test_nerve_rejects_four_squares_meeting_at_a_point():
+    # not simple: the four cells of the 2x2 grid, and its diagonal pairs,
+    # meet in the centre point, fixed on two axes; the walk, depth first
+    # in cell order, reaches all four before the pair (0, 3)
+    cells = [
+        PartitionCell(BoxCell([(c, c + 1) for c in xy]), xy) for xy in product((0, 1), repeat=2)
+    ]
+    p = ShiftedPartition(d=2, n=2, delta=F(0), cells=cells, den=2)
+    parts = mono_parts(p, parse_coloring("2 2 4\n0 1 2 3"))
+    with pytest.raises(IdentityError) as err:
+        nerve(p, parts)
+    assert str(err.value) == (
+        "nerve: cells (0, 1, 2, 3) meet in Cell(1 x 1), fixed on 2 axes, not 3: "
+        "the partition is not simple"
+    )
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_nerve_matches_region_product_oracle_on_the_unshifted_grid(d, n):
-    # not simple: 2^d cells meet at a grid vertex, so different cliques of
-    # cells over the same parts can meet in the same piece, kept once
+def test_nerve_rejects_the_unshifted_grid(d, n):
+    # 2^d cells meet at a grid vertex, so some clique of cells meets in a
+    # box fixed on more axes than it has cells less one
     cells = [
         PartitionCell(BoxCell([(c, c + 1) for c in coords]), coords)
         for coords in product(range(n), repeat=d)
@@ -420,7 +456,10 @@ def test_nerve_matches_region_product_oracle_on_the_unshifted_grid(d, n):
     for colors in range(2, 5):
         for seed in range(3):
             parts = mono_parts(p, random_coloring(d, n, colors, seed))
-            assert_same_nerve(nerve(p, parts), nerve_by_region_products(parts))
+            if len(parts) == 1:
+                continue
+            with pytest.raises(IdentityError, match=r"^nerve: cells \(\d+(, \d+)+\) meet in "):
+                nerve(p, parts)
 
 
 @pytest.mark.parametrize("drop", ["missing", "repeated", "foreign"])
@@ -453,10 +492,10 @@ def test_cliques_are_the_cell_sets_with_a_common_point(data, p):
             if any(max(lo for lo, _ in ax) > min(hi for _, hi in ax) for ax in extents):
                 continue  # no common point
             want.add(tuple(sorted(ids, key=lambda c: rank[c])))
-    got = list(p.cliques(rank))
+    got = list(cliques(p, rank))
     assert len(got) == len(set(got))
     assert set(got) == want
-    assert got == sorted(got)  # lexicographic: nerve's pieces come in this order
+    assert got == sorted(got)
 
 
 # ---------------------------------------------------------- face chains
@@ -562,12 +601,14 @@ def test_face_chain_off_nerve_is_zero():
 
 def test_face_overlap_is_an_identity_error():
     # part 1's boxes overlap, so its two wall pieces against part 0 overlap
-    # on {1/2} x [1/4, 1/2]; mod-2 addition would erase that stretch
+    # on {1/2} x [1/4, 1/2]; mod-2 addition would erase that stretch.  The
+    # clique walk meets the overlap first: the three cells meet in that
+    # stretch, fixed on one axis where three cells must be fixed on two
     boxes = [((0, "1/2"), (0, 1)), (("1/2", 1), (0, "1/2")), (("1/2", 1), ("1/4", 1))]
     p = partition_of(boxes, 2)
     a = Part(0, 0, (0,), (p.cells[0].box,), F(1, 2), p.den)
     b = Part(1, 1, (1, 2), (p.cells[1].box, p.cells[2].box), F(5, 8), p.den)
-    with pytest.raises(IdentityError, match=r"\(0, 1\)"):
+    with pytest.raises(IdentityError, match=r"^nerve: cells \(0, 1, 2\) meet in "):
         nerve(p, [a, b])
 
 
@@ -1063,6 +1104,28 @@ def test_skeleton_volumes_match_per_level_oracle(d, n, colors):
             assert got == want, pt.id
 
 
+@pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3), (4, 2), (5, 2)])
+def test_audit_g_checks_match_the_wall_skeleton(d, n):
+    # the audit's rows come from the clique walk's orthant rule; the
+    # oracle builds each level geometrically from the part's pair faces,
+    # as the audit did before the walk
+    p = build_shifted_partition(d, n, F(1, 16 * n))
+    for colors in range(1, d + 2):
+        for seed in (0, 1):
+            parts = mono_parts(p, random_coloring(d, n, colors, seed))
+            nrv = nerve(p, parts, max_multiplicity=colors)
+            rep = assemble_and_audit(parts, nrv, contraction(nrv), n=n, m=colors - 1)
+            want = [
+                (pt.id, k, skel)
+                for pt in parts
+                for k, skel in enumerate(
+                    skeleton_from_walls(pair_face_walls(nrv, pt.id), d, pt.den), start=1
+                )
+            ]
+            assert [(row["part"], row["k"], row["skeleton"]) for row in rep.g_checks] == want
+            assert rep.ok, (colors, seed, rep.failures)
+
+
 @pytest.mark.parametrize(
     "d,n,colors,seed",
     [(2, 4, 2, 0), (2, 5, 3, 1), (3, 3, 2, 0), (3, 4, 3, 1), (3, 4, 4, 2)]
@@ -1121,11 +1184,6 @@ def contact_skeleton_volumes(chain):
     return volumes
 
 
-def pair_face_walls(nrv, pid):
-    """The cells of the pair faces F(pid, j): the walls the audit uses."""
-    return [c for t in nrv.cofaces.get((pid,), []) for c in nrv.faces[t].terms]
-
-
 @pytest.mark.parametrize(
     "d,n,colors",
     [(2, 4, c) for c in (2, 3)]
@@ -1143,7 +1201,7 @@ def test_pattern_join_matches_the_contact_skeleton(d, n, colors):
         want = contact_skeleton_volumes(chain)
         assert skeleton_volumes(chain) == want, pt.id
         # pair-face walls and boundary walls cover one set
-        assert [want[0], *_skeleton(pair_face_walls(nrv, pt.id), d, pt.den)] == want, pt.id
+        assert [want[0], *skeleton_from_walls(pair_face_walls(nrv, pt.id), d, pt.den)] == want, pt.id
     if (d, colors) == (5, 6):
         assert nrv.max_dim == 5
 
@@ -1178,7 +1236,7 @@ def test_pattern_join_matches_the_contact_skeleton_on_notched_boxes(d, depth):
     assert skeleton_volumes(chain) == want
     assert all(v > 0 for v in want)  # the region has faces at every level
     walls = list(boundary(chain, relative=True).terms)
-    assert [want[0], *_skeleton(split_walls(walls, chain.den), d, 2 * chain.den)] == want
+    assert [want[0], *skeleton_from_walls(split_walls(walls, chain.den), d, 2 * chain.den)] == want
 
 
 @st.composite
@@ -1201,4 +1259,4 @@ def test_pattern_join_matches_the_contact_skeleton_on_box_regions(chain):
     want = contact_skeleton_volumes(chain)
     assert skeleton_volumes(chain) == want
     walls = list(boundary(chain, relative=True).terms)
-    assert [want[0], *_skeleton(split_walls(walls, chain.den), chain.d, 2 * chain.den)] == want
+    assert [want[0], *skeleton_from_walls(split_walls(walls, chain.den), chain.d, 2 * chain.den)] == want
