@@ -77,7 +77,7 @@ def cmd_certify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    report = nervecontract.certify_coloring(g, delta=delta, check_skeleton=not args.no_skeleton)
+    report = nervecontract.certify_coloring(g, delta=delta)
     json.dump(report.to_json(), sys.stdout, indent=2)
     print()
     return EXIT_OK if report.ok else EXIT_FAILURE
@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the exact certification pipeline")
     p.add_argument("coloring")
     p.add_argument("--delta", help="partition offset, a rational like 1/32")
-    p.add_argument("--no-skeleton", action="store_true", help="skip skeleton checks")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("fill-test", help="randomized filling-contract check")

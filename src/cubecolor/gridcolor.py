@@ -217,24 +217,24 @@ class ComponentReport:
         return len(self.sizes)
 
 
-def _label(g: GridColoring) -> tuple[list[int], list[list[int]]]:
-    """Per cell the label of its component, and per label its cells.
-    A flood fill starts at each unlabelled cell in flat order, so label
-    k numbers the component whose smallest cell is the k-th smallest
-    among the components' smallest cells."""
-    table = _neighbor_table(g.d, g.n)[0]
-    cells = g.cells
-    label = [-1] * len(cells)
+def _label(table, colors) -> tuple[list[int], list[list[int]]]:
+    """The monochromatic components of a graph: per vertex the label of
+    its component, and per label its vertices.  `table[i]` lists the
+    neighbours of vertex i, and `colors[i]` is its color.  A flood fill
+    starts at each unlabelled vertex in index order, so label k numbers
+    the component whose smallest vertex is the k-th smallest among the
+    components' smallest vertices."""
+    label = [-1] * len(colors)
     members = []
-    for start, color in enumerate(cells):
+    for start, color in enumerate(colors):
         if label[start] >= 0:
             continue
         lab = len(members)
         label[start] = lab
         comp = [start]
-        for idx in comp:  # the loop reaches the cells appended in it
+        for idx in comp:  # the loop reaches the vertices appended in it
             for k in table[idx]:
-                if label[k] < 0 and cells[k] == color:
+                if label[k] < 0 and colors[k] == color:
                     label[k] = lab
                     comp.append(k)
         members.append(comp)
@@ -245,7 +245,7 @@ def components(g: GridColoring) -> ComponentReport:
     """Label monochromatic components by one flood fill per component
     (`_label`); labels are deterministic, numbered by smallest contained
     flat cell index."""
-    label, members = _label(g)
+    label, members = _label(_neighbor_table(g.d, g.n)[0], g.cells)
     facets = _facet_table(g.d, g.n)
     touched = [{f for idx in comp for f in facets[idx]} for comp in members]
     return ComponentReport(
@@ -286,13 +286,13 @@ class ComponentTracker:
     """
 
     def __init__(self, g: GridColoring):
-        label, comps = _label(g)
+        self._table, self._positions = _neighbor_table(g.d, g.n)
+        label, comps = _label(self._table, g.cells)
         self.num_colors = g.num_colors
         self.cells = list(g.cells)
         self.label = label
         self.members: dict[int, set[int]] = {lab: set(comp) for lab, comp in enumerate(comps)}
         self._next_label = len(comps)
-        self._table, self._positions = _neighbor_table(g.d, g.n)
         self._adjacency = _ring_adjacency(g.d)
         self.hist = [0] * (len(self.cells) + 1)  # components per size
         for comp in comps:

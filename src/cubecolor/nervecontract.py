@@ -49,7 +49,7 @@ from .chains import (
     is_relative_cycle,
     vanishes,
 )
-from .gridcolor import GridColoring
+from .gridcolor import GridColoring, _label
 
 ZERO = Fraction(0)
 
@@ -63,14 +63,15 @@ class IdentityError(AssertionError):
 
 
 class MultiplicityError(IdentityError):
-    """The nerve has a simplex deeper than the declared multiplicity.  The
-    parts of a simplex have distinct colors, so no valid input gets there."""
+    """Two parts of one color share a point.  Parts of one color that touch
+    are the same part, so no valid input gets there, and a simplex holds at
+    most as many parts as there are colors."""
 
-    def __init__(self, simplex):
+    def __init__(self, simplex, first: int, second: int, color: int):
         self.simplex = simplex
         super().__init__(
-            f"nerve: parts {simplex} share a point: multiplicity {len(simplex)} "
-            "exceeds the declared bound"
+            f"nerve: parts {simplex} share a point, and parts {first} and {second} "
+            f"both have color {color}"
         )
 
 
@@ -233,39 +234,26 @@ class Part:
 
 def mono_parts(p: ShiftedPartition, g: GridColoring) -> list[Part]:
     """Group the partition cells into monochromatic parts, connected
-    through closed box intersection.  Part ids are assigned by the
-    smallest member cell index, so the output is deterministic."""
+    through closed box intersection: the flood fill that labels the grid's
+    components (`gridcolor._label`), run on the partition's contacts.
+    Part ids are assigned by the smallest member cell index, so the output
+    is deterministic."""
     if p.d != g.d or p.n != g.n:
         raise ValueError(f"partition is ({p.d},{p.n}), coloring is ({g.d},{g.n})")
     colors = [g.color_at(pc.lattice) for pc in p.cells]
-    count = len(p.cells)
-    parent = list(range(count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    table: list[list[int]] = [[] for _ in p.cells]
     for i, j, _ in p.contacts:
-        if colors[i] == colors[j]:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
-
+        table[i].append(j)
+        table[j].append(i)
     parts = []
-    for pid, root in enumerate(sorted(groups)):
-        members = groups[root]
+    for pid, comp in enumerate(_label(table, colors)[1]):
+        members = tuple(sorted(comp))
         boxes = tuple(p.cells[i].box for i in members)
         parts.append(
             Part(
                 id=pid,
-                color=colors[root],
-                cell_ids=tuple(members),
+                color=colors[members[0]],
+                cell_ids=members,
                 boxes=boxes,
                 volume=Fraction(sum(b.volume() for b in boxes), p.den**p.d),
                 den=p.den,
@@ -297,7 +285,9 @@ class Nerve:
 
 def _face(simplex: tuple[int, ...], pieces: list[BoxCell], den: int) -> RectChain:
     """The chain of dimension d - k carried by the distinct intersection
-    pieces of k+1 parts, over `den`.
+    pieces of k+1 parts, over `den`.  Each piece has dimension d - k, as
+    `_strata` records a piece only for a clique of k+1 cells whose box is
+    fixed on k axes; a piece of another dimension is a ChainError.
 
     Distinct cell pairs never overlap on positive measure in a simple
     partition; if they did, mod-2 addition would silently change the
@@ -307,11 +297,8 @@ def _face(simplex: tuple[int, ...], pieces: list[BoxCell], den: int) -> RectChai
     """
     d = pieces[0].d
     target = d - (len(simplex) - 1)
-    kept = [b for b in pieces if b.k == target]
-    if not kept:
-        return RectChain.zero(d, max(target, 0), MOD2)
-    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in kept], den)
-    if chain.volume() != Fraction(sum(b.volume() for b in kept), den**target):
+    chain = RectChain.make(d, target, MOD2, [(b, 1) for b in pieces], den)
+    if chain.volume() != Fraction(sum(b.volume() for b in pieces), den**target):
         raise IdentityError(
             f"nerve: intersection pieces of {simplex} overlap with positive measure"
         )
@@ -466,29 +453,29 @@ def _strata(partition: ShiftedPartition, owner: dict[int, int]):
     return pieces, volumes
 
 
-def nerve(
-    partition: ShiftedPartition, parts: list[Part], max_multiplicity: int | None = None
-) -> Nerve:
+def nerve(partition: ShiftedPartition, parts: list[Part]) -> Nerve:
     """All nonempty closed intersections of parts, with their chains, and
     the parts' skeleton volumes, from one clique walk (`_strata`).
 
     The parts must cover the partition's cells, each once.  The pieces of
     a simplex are the distinct boxes of the cell cliques with one cell in
     each of its parts.  Simplices are created in order of size, then index
-    tuple.  When `max_multiplicity` is given, a simplex on more parts than
-    that is reported as a hard MultiplicityError rather than silently
-    accepted.
+    tuple.  A simplex with two parts of one color is a hard
+    MultiplicityError: parts of one color that touch are one part.
     """
     if sorted(c for p in parts for c in p.cell_ids) != list(range(len(partition.cells))):
         raise ValueError("the parts' cell_ids must cover the partition's cells, each once")
     owner = {c: p.id for p in parts for c in p.cell_ids}
+    color = {p.id: p.color for p in parts}
     pieces, volumes = _strata(partition, owner)
     levels: dict[int, list[tuple[int, ...]]] = {0: [(p.id,) for p in parts]}
     faces = {(p.id,): p.chain() for p in parts}
     cofaces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for t in sorted(pieces, key=lambda t: (len(t), t)):
-        if max_multiplicity is not None and len(t) > max_multiplicity:
-            raise MultiplicityError(t)
+        first: dict[int, int] = {}  # color -> the first part of t with it
+        for v in t:
+            if (u := first.setdefault(color[v], v)) != v:
+                raise MultiplicityError(t, u, v, color[v])
         levels.setdefault(len(t) - 1, []).append(t)
         faces[t] = _face(t, list(pieces[t]), partition.den)
         for v in t:
@@ -588,7 +575,6 @@ def assemble_and_audit(
     fillings: dict[tuple[int, ...], RectChain],
     n: int,
     m: int,
-    check_skeleton: bool = True,
 ) -> AuditReport:
     """Assemble the per-part cycles and audit every exact identity and
     volume bound; every failure is listed in the report.  The skeleton
@@ -663,18 +649,15 @@ def assemble_and_audit(
 
     g_rows = []
     g_ok = True
-    if check_skeleton:
-        for p in parts:
-            for k in range(1, d + 1):
-                skel = nrv.skeleton[p.id, k]
-                bnd = g_constant(d, k) * p.volume * Fraction(n) ** k
-                ok = skel <= bnd
-                g_rows.append(
-                    {"part": p.id, "k": k, "skeleton": skel, "bound": bnd, "ok": ok}
-                )
-                if not ok:
-                    g_ok = False
-                    failures.append(f"skeleton-volume bound fails for part {p.id}, k={k}")
+    for p in parts:
+        for k in range(1, d + 1):
+            skel = nrv.skeleton[p.id, k]
+            bnd = g_constant(d, k) * p.volume * Fraction(n) ** k
+            ok = skel <= bnd
+            g_rows.append({"part": p.id, "k": k, "skeleton": skel, "bound": bnd, "ok": ok})
+            if not ok:
+                g_ok = False
+                failures.append(f"skeleton-volume bound fails for part {p.id}, k={k}")
 
     return AuditReport(
         d=d,
@@ -698,11 +681,7 @@ def assemble_and_audit(
     )
 
 
-def certify_coloring(
-    g: GridColoring,
-    delta=None,
-    check_skeleton: bool = True,
-) -> AuditReport:
+def certify_coloring(g: GridColoring, delta=None) -> AuditReport:
     """Run the whole pipeline on one coloring and audit it.  The audit's
     constants are defined for at most d+1 colors (m <= d)."""
     if g.num_colors > g.d + 1:
@@ -714,6 +693,6 @@ def certify_coloring(
     partition = build_shifted_partition(g.d, g.n, delta)
     parts = mono_parts(partition, g)
     m = g.num_colors - 1
-    nrv = nerve(partition, parts, max_multiplicity=g.num_colors)
+    nrv = nerve(partition, parts)
     fillings = contraction(nrv)
-    return assemble_and_audit(parts, nrv, fillings, n=g.n, m=m, check_skeleton=check_skeleton)
+    return assemble_and_audit(parts, nrv, fillings, n=g.n, m=m)

@@ -84,7 +84,7 @@ def pipeline_runs():
     for n in (3, 4, 5, 6):
         for seed in range(20):
             g = random_coloring(2, n, 2, seed)
-            rep = certify_coloring(g, check_skeleton=False)
+            rep = certify_coloring(g)
             runs.append((n, seed, rep))
     return runs, time.time() - t0
 

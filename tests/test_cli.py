@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: outputs, formats, exit codes."""
 
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -200,13 +201,13 @@ def test_certify_d3_matches_stored_report(capsys, name):
     assert out == (DATA / f"{name}.json").read_text()
 
 
-def test_certify_no_skeleton_drops_only_g_checks(capsys):
-    # the skeleton rows are the only part of the report it changes
-    code, out, _ = run(capsys, "certify", "--no-skeleton", str(DATA / "certify_d3_n4_c3.txt"))
-    assert code == 0
-    want = json.loads((DATA / "certify_d3_n4_c3.json").read_text())
-    assert want["g_checks"]
-    assert json.loads(out) == {**want, "g_checks": []}
+def test_certify_no_skeleton_option_rejected(capsys):
+    # the skeleton volumes come with the nerve, so there is no switch to
+    # skip them: every report has its g_checks rows
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", "--no-skeleton", str(DATA / "certify_d3_n4_c3.txt")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-skeleton" in capsys.readouterr().err
 
 
 def test_certify_custom_delta(tmp_path, capsys):
@@ -240,13 +241,19 @@ def test_certify_partition_failure_names_the_stage(tmp_path, capsys):
 
 
 def test_certify_multiplicity_failure_names_the_stage(tmp_path, capsys, monkeypatch):
-    # shifted partitions keep within the bound certify declares; with a
-    # bound of 1 the two parts meeting along their wall exceed it
-    real = nervecontract.nerve
-    monkeypatch.setattr(nervecontract, "nerve", lambda p, parts, **_: real(p, parts, 1))
+    # parts of one color that touch are one part; with part 1 recolored to
+    # color 0, the two parts meeting along their wall break that
+    real = nervecontract.mono_parts
+
+    def one_color(p, g):
+        first, second = real(p, g)
+        return [first, dataclasses.replace(second, color=first.color)]
+
+    monkeypatch.setattr(nervecontract, "mono_parts", one_color)
     code, out, err = run(capsys, "certify", write_coloring(tmp_path, "h.txt", STRIPES))
     assert (code, out) == (1, "")
     assert err.startswith("identity failure: nerve: parts (0, 1) share a point")
+    assert "parts 0 and 1 both have color 0" in err
 
 
 def test_certify_face_overlap_names_the_stage(tmp_path, capsys, monkeypatch):

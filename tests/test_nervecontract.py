@@ -300,7 +300,8 @@ def oracle_mono_parts(p, g):
 @pytest.mark.parametrize(
     "d,n,colors",
     [(2, n, c) for n in (3, 4, 5) for c in (2, 3)]
-    + [(3, n, c) for n in (3, 4) for c in (2, 3, 4)],
+    + [(3, n, c) for n in (3, 4) for c in (2, 3, 4)]
+    + [(d, n, c) for d, n in ((1, 5), (4, 3), (5, 2)) for c in range(1, d + 2)],
 )
 def test_mono_parts_match_all_pairs_oracle(d, n, colors):
     p = build_shifted_partition(d, n, F(1, 16 * n))
@@ -342,15 +343,23 @@ def test_nerve_two_parts_one_edge():
 def test_nerve_dimension_two_colors(seed):
     p = build_shifted_partition(2, 4, F(1, 64))
     parts = mono_parts(p, random_coloring(2, 4, 2, seed))
-    nrv = nerve(p, parts, max_multiplicity=2)
+    nrv = nerve(p, parts)
     assert nrv.max_dim <= 1
 
 
 def test_nerve_multiplicity_violation_reported():
+    # parts (0, 1, 2) share a point; with part 2 recolored to part 0's
+    # color, the first simplex that holds both is the edge (0, 2)
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 4\n0 1 2 3"))
-    with pytest.raises(MultiplicityError):
-        nerve(p, parts, max_multiplicity=2)  # three parts do share points here
+    assert nerve(p, parts).simplices[2] == [(0, 1, 2), (1, 2, 3)]
+    parts[2] = dataclasses.replace(parts[2], color=parts[0].color)
+    with pytest.raises(MultiplicityError) as err:
+        nerve(p, parts)
+    assert err.value.simplex == (0, 2)
+    assert str(err.value) == (
+        f"nerve: parts (0, 2) share a point, and parts 0 and 2 both have color {parts[0].color}"
+    )
 
 
 def nerve_by_region_products(parts):
@@ -386,7 +395,8 @@ def nerve_by_region_products(parts):
                     nxt.append(t)
                     regions[t] = pieces
                     common[t] = common[s] & common[(j,)]
-                    faces[t] = _face(t, pieces, parts[0].den)
+                    kept = [b for b in pieces if b.k == pieces[0].d - k - 1]
+                    faces[t] = _face(t, kept, parts[0].den)
                     for v in t:
                         cofaces.setdefault(tuple(u for u in t if u != v), []).append(t)
         k += 1
@@ -415,16 +425,19 @@ def test_nerve_matches_region_product_oracle(d, n):
             parts = mono_parts(p, random_coloring(d, n, colors, seed))
             want = nerve_by_region_products(parts)
             assert_same_nerve(nerve(p, parts), want)
-            # a bound trips on the first simplex over it in the oracle's
-            # creation order, where the oracle would raise, or on none
-            for bound in (2, 3):
-                over = [t for ss in want.simplices.values() for t in ss if len(t) > bound]
-                if over:
-                    with pytest.raises(MultiplicityError) as got:
-                        nerve(p, parts, bound)
-                    assert got.value.simplex == over[0]
-                else:
-                    assert nerve(p, parts, bound).simplices == want.simplices
+            # recolor the last edge's second part to its first part's
+            # color: the nerve trips on the first edge, in the oracle's
+            # creation order, whose two parts now share a color
+            edges = want.simplices.get(1, [])
+            if edges:
+                i, j = edges[-1]
+                bad = [dataclasses.replace(pt, color=parts[i].color) if pt.id == j else pt
+                       for pt in parts]
+                with pytest.raises(MultiplicityError) as got:
+                    nerve(p, bad)
+                assert got.value.simplex == next(
+                    (a, b) for a, b in edges if bad[a].color == bad[b].color
+                )
 
 
 def test_nerve_rejects_four_squares_meeting_at_a_point():
@@ -630,8 +643,9 @@ def test_stage_errors_name_their_stage():
         build_shifted_partition(2, 2, F(1, 8))
     p = build_shifted_partition(2, 2, F(1, 16))
     parts = mono_parts(p, parse_coloring("2 2 4\n0 1 2 3"))
-    with pytest.raises(MultiplicityError, match=r"^nerve: parts \(\d+, \d+, \d+\) share a point"):
-        nerve(p, parts, max_multiplicity=2)
+    parts[3] = dataclasses.replace(parts[3], color=parts[1].color)
+    with pytest.raises(MultiplicityError, match=r"^nerve: parts \(\d+, \d+\) share a point"):
+        nerve(p, parts)
 
 
 def old_face_overlaps(kept, den):
@@ -656,7 +670,7 @@ def test_face_overlap_verdict_matches_union_volume_oracle(data, p):
     target = data.draw(st.sampled_from(sorted({b.k for b in pieces})))
     simplex = tuple(range(p.d - target + 1))
     kept = [b for b in pieces if b.k == target]
-    got = face_overlaps(simplex, pieces, p.den)
+    got = face_overlaps(simplex, kept, p.den)
     # a pair overlaps exactly when the pieces' volumes add up to more
     # than their union's
     total = F(sum(b.volume() for b in kept), p.den**target)
@@ -672,7 +686,7 @@ def test_face_overlap_verdict_matches_union_volume_oracle(data, p):
     assert not old_face_overlaps(disjoint, p.den)
     if not got:
         want = RectChain.make(p.d, target, MOD2, [(b, 1) for b in disjoint], p.den)
-        assert _face(simplex, pieces, p.den) == want
+        assert _face(simplex, kept, p.den) == want
 
 
 def test_face_raises_on_an_overlap_that_mod_2_keeps():
@@ -806,11 +820,11 @@ def test_S_table_matches_per_part_scan(d, n):
     for colors in range(2, d + 2):
         for seed in range(2):
             parts = mono_parts(p, random_coloring(d, n, colors, seed))
-            nrv = nerve(p, parts, max_multiplicity=colors)
+            nrv = nerve(p, parts)
             fillings = contraction(nrv)
             # m below the nerve's depth: the deeper simplices are left out
             for m in range(colors):
-                rep = assemble_and_audit(parts, nrv, fillings, n=n, m=m, check_skeleton=False)
+                rep = assemble_and_audit(parts, nrv, fillings, n=n, m=m)
                 want = per_part_S_table(parts, nrv, fillings, m)
                 assert list(rep.S_table.items()) == list(want.items())
 
@@ -916,7 +930,7 @@ def test_eq2_eq3_failures_match_the_comparing_audit(d, n, seed):
         (nrv, {**fillings, a: fillings[b], b: fillings[a]}),
     ]
     for corrupted, (bad_nrv, bad_fillings) in enumerate(variants):
-        rep = assemble_and_audit(parts, bad_nrv, bad_fillings, n=n, m=2, check_skeleton=False)
+        rep = assemble_and_audit(parts, bad_nrv, bad_fillings, n=n, m=2)
         got = [f for f in rep.failures if "boundary decomposition" in f or "relation fails" in f]
         assert got == comparing_audit_failures(bad_nrv, bad_fillings, d)
         assert bool(got) == bool(corrupted)
@@ -930,7 +944,7 @@ def test_audit_names_the_simplex_of_a_dropped_or_shrunk_cell(d, n, seed):
     fillings = contraction(nrv)
 
     def audit(bad_nrv, bad_fillings):
-        return assemble_and_audit(parts, bad_nrv, bad_fillings, n=n, m=2, check_skeleton=False)
+        return assemble_and_audit(parts, bad_nrv, bad_fillings, n=n, m=2)
 
     # a filling without one of its cells: that cell's relative boundary is
     # left over in the contraction relation at the simplex (a cell that
@@ -1113,7 +1127,7 @@ def test_audit_g_checks_match_the_wall_skeleton(d, n):
     for colors in range(1, d + 2):
         for seed in (0, 1):
             parts = mono_parts(p, random_coloring(d, n, colors, seed))
-            nrv = nerve(p, parts, max_multiplicity=colors)
+            nrv = nerve(p, parts)
             rep = assemble_and_audit(parts, nrv, contraction(nrv), n=n, m=colors - 1)
             want = [
                 (pt.id, k, skel)
@@ -1195,7 +1209,7 @@ def test_pattern_join_matches_the_contact_skeleton(d, n, colors):
     # (5, 2, 6) has a 5-simplex in its nerve
     p = build_shifted_partition(d, n, F(1, 16 * n))
     parts = mono_parts(p, random_coloring(d, n, colors, 1))
-    nrv = nerve(p, parts, max_multiplicity=colors)
+    nrv = nerve(p, parts)
     for pt in parts:
         chain = nrv.faces[(pt.id,)]
         want = contact_skeleton_volumes(chain)
