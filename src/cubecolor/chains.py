@@ -129,7 +129,10 @@ class BoxCell(tuple):
 
     def in_cube_boundary(self, den: int) -> bool:
         """True when the whole cell lies inside a facet of the cube."""
-        return any(lo == hi and lo in (0, den) for lo, hi in self)
+        for lo, hi in self:
+            if lo == hi and (lo == 0 or lo == den):
+                return True
+        return False
 
     def replace(self, axis: int, lo: int, hi: int) -> "BoxCell":
         """This cell with the extent (lo, hi) on `axis`, 0 <= lo <= hi <= den."""
@@ -474,6 +477,12 @@ def vanishes(
     through the others lie in the cube boundary.  The sum vanishes
     exactly when every count cancels, mod 2 or over Z.
 
+    One pass reads each cell's extents once, unscaled when its chain is
+    over the lcm.  Mod 2 only odd coefficients count, and a cell's corners,
+    all distinct, are XORed as one set into the set of its free axes, as
+    is each projection of a wall set; over Z each corner adds coef times
+    its sign, from one table per chain.
+
     Proof: a sum of k-cells is zero modulo the cube boundary when on each
     k-plane off that boundary its coefficients cancel almost everywhere,
     hence everywhere on half-open boxes.  On each free axis [lo, hi) is
@@ -486,46 +495,57 @@ def vanishes(
     """
     walls, chains = list(walls), list(chains)
     den = math.lcm(*(c.den for c in walls), *(c.den for c in chains))
+    mod2 = ring == MOD2
     # free axes as a bit mask -> corner counts: of the walls' own cells, and of the sum
     own: dict[int, set | dict] = {}
     planes: dict[int, set | dict] = {}
-
-    def add(into, mask, corners, coef, signs):
-        if ring == MOD2:  # corners of one box are distinct: toggle each
-            if coef % 2:
-                into.setdefault(mask, set()).symmetric_difference_update(corners)
-            return
-        counts = into.setdefault(mask, {})
-        for v, sign in zip(corners, signs, strict=True):
-            counts[v] = counts.get(v, 0) + coef * sign
-
     for c, into in [(c, own) for c in walls] + [(c, planes) for c in chains]:
-        f = den // c.den
+        f, top = den // c.den, c.den
         signs = [1]  # (-1)^(upper ends) of each corner of a cell, in product order
-        for _ in range(c.k):
+        for _ in range(0 if mod2 else c.k):
             signs = [s for t in signs for s in (t, -t)]
         for b, coef in c.terms.items():
+            if mod2 and not coef % 2:
+                continue
             ends, mask = [], 0
-            for a, (lo, hi) in enumerate(b):
+            for a, e in enumerate(b):
+                lo, hi = e
                 if lo < hi:
-                    ends.append((lo * f, hi * f))
+                    ends.append(e if f == 1 else (lo * f, hi * f))
                     mask |= 1 << a
-                elif 0 < lo < c.den:
+                elif 0 < lo < top:
                     ends.append((lo * f,))
                 else:
-                    break
-            if len(ends) < len(b):
-                continue  # the cell lies in the cube boundary
-            add(into, mask, itertools.product(*ends), coef, signs)
+                    break  # the cell lies in the cube boundary
+            else:
+                if mod2:  # corners of one box are distinct: toggle each
+                    corners = set(itertools.product(*ends))
+                    if mask in into:
+                        into[mask] ^= corners
+                    else:
+                        into[mask] = corners
+                else:
+                    counts = into.setdefault(mask, {})
+                    for v, s in zip(itertools.product(*ends), signs, strict=True):
+                        counts[v] = counts.get(v, 0) + coef * s
     for mask, counts in own.items():
         sign = -1  # -(-1)^p across the p-th free axis
         for a in range(mask.bit_length()):
             if mask >> a & 1:
-                kept = [v for v in counts if 0 < v[a] < den]
-                weights = None if ring == MOD2 else [counts[v] for v in kept]
-                add(planes, mask ^ (1 << a), kept, sign, weights)
+                face = mask ^ (1 << a)
+                if mod2:
+                    kept = {v for v in counts if 0 < v[a] < den}
+                    if face in planes:
+                        planes[face] ^= kept
+                    else:
+                        planes[face] = kept
+                else:
+                    tally = planes.setdefault(face, {})
+                    for v, n in counts.items():
+                        if 0 < v[a] < den:
+                            tally[v] = tally.get(v, 0) + sign * n
                 sign = -sign
-    if ring == MOD2:
+    if mod2:
         return not any(planes.values())
     return not any(n for counts in planes.values() for n in counts.values())
 
@@ -574,8 +594,11 @@ def sweep_slabs(z: RectChain, axis: int) -> list[tuple[int, int, int]]:
 def _cone_sign(b: BoxCell, axis: int) -> int:
     # (-1)^q, q the number of interval axes before `axis`: the position the
     # axis takes among the interval axes of the cone, or has in a section
-    q = sum(1 for lo, hi in b[:axis] if lo < hi)
-    return -1 if q % 2 else 1
+    sign = 1
+    for lo, hi in b[:axis]:
+        if lo < hi:
+            sign = -sign
+    return sign
 
 
 def _pick_slab(z: RectChain, axis: int) -> int:

@@ -134,6 +134,44 @@ def test_cell_basic_properties():
     assert not BoxCell([2, (0, 1)]).in_cube_boundary(4)
 
 
+def gen_in_cube_boundary(b, den):
+    """Oracle: `BoxCell.in_cube_boundary` as one generator expression."""
+    return any(lo == hi and lo in (0, den) for lo, hi in b)
+
+
+def gen_cone_sign(b, axis):
+    """Oracle: `_cone_sign` as one generator expression."""
+    q = sum(1 for lo, hi in b[:axis] if lo < hi)
+    return -1 if q % 2 else 1
+
+
+@st.composite
+def cells_over_den(draw):
+    """(den, cell): a cell in [0,1]^d, d = 1..5, over den 1..6, each axis
+    an interval or fixed at 0, at den or strictly inside."""
+    den = draw(st.integers(1, 6))
+    kinds = ["interval", "zero", "top"] + (["inside"] if den > 1 else [])
+    ext = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
+        if kind == "interval":
+            ext.append(tuple(sorted(draw(st.lists(st.integers(0, den), min_size=2,
+                                                  max_size=2, unique=True)))))
+        elif kind == "inside":
+            ext.append(draw(st.integers(1, den - 1)))
+        else:
+            ext.append(0 if kind == "zero" else den)
+    return den, BoxCell(ext)
+
+
+@given(cell=cells_over_den())
+@settings(max_examples=300, deadline=None)
+def test_cell_loops_match_the_generator_forms(cell):
+    den, b = cell
+    assert b.in_cube_boundary(den) == gen_in_cube_boundary(b, den)
+    for axis in range(len(b)):
+        assert chains_module._cone_sign(b, axis) == gen_cone_sign(b, axis)
+
+
 def test_cell_rejects_bad_extents():
     with pytest.raises(ChainError):
         lattice_cells([((0, "3/2"),)])
@@ -610,7 +648,7 @@ def zero_test_cases(draw):
     chains hold the negated relative boundaries of the walls, cut in two,
     so that with the extra chain drawn last the sum may vanish."""
     ring = draw(st.sampled_from([MOD2, INTEGER]))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
     k = draw(st.integers(0, d))
 
     def chain(j, facet=False):
@@ -1382,6 +1420,24 @@ def test_fill_rejects_non_cycles():
         fill(z)
     with pytest.raises(FillError):
         fill(fundamental_chain(2))  # k = d
+    # the cycle classes of the benchmark's `fill` workload, less one cell
+    # and, over Z, with one coefficient doubled.  A cell that spans the cube
+    # on every free axis has all its faces in the cube boundary, so the one
+    # changed is the first cell with a face off it
+    for (d, k), ring, seed in itertools.product(
+        [(3, 1), (3, 2), (4, 2), (4, 3)], [MOD2, INTEGER], range(5)
+    ):
+        z = random_relative_cycle(seed, d, k, ring=ring)
+        assert is_relative_cycle(z)
+        b, cf = next(
+            (b, cf) for b, cf in z.cells() if any(0 < lo < hi or lo < hi < z.den for lo, hi in b)
+        )
+        broken = [{c: n for c, n in z.terms.items() if c != b}]
+        if ring == INTEGER:
+            broken.append({**z.terms, b: 2 * cf})
+        for terms in broken:
+            with pytest.raises(FillError, match="^input is not a relative cycle$"):
+                fill(RectChain(d, k, ring, terms, z.den))
 
 
 @pytest.mark.parametrize("ring", [MOD2, INTEGER])
