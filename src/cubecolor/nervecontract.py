@@ -103,9 +103,15 @@ class ShiftedPartition:
     den: int
 
     @cached_property
-    def contacts(self) -> list[tuple[int, int, BoxCell]]:
-        """The touching cell pairs with their intersections; see chains.contacts."""
-        return contacts([pc.box for pc in self.cells])
+    def later(self) -> list[dict[int, BoxCell]]:
+        """The contact index: for each cell i, the cells j > i that touch
+        it, each mapped to the pair's closed intersection (chains.contacts).
+        Computed once per partition; read, never changed, by `verify`,
+        `max_multiplicity`, `mono_parts` and the nerve's clique walk."""
+        later: list[dict[int, BoxCell]] = [{} for _ in self.cells]
+        for i, j, x in contacts([pc.box for pc in self.cells]):
+            later[i][j] = x
+        return later
 
     def max_multiplicity(self) -> int:
         """Largest number of closed cells sharing a point: the size of the
@@ -113,9 +119,7 @@ class ShiftedPartition:
         pairwise share a point (Helly's theorem for boxes).  A branch stops
         once its size plus its candidates cannot beat the largest clique
         found so far."""
-        later: list[set[int]] = [set() for _ in self.cells]
-        for i, j, _ in self.contacts:  # i < j
-            later[i].add(j)
+        later = self.later
         best = 0
 
         def walk(size: int, common: set[int]):
@@ -125,10 +129,10 @@ class ShiftedPartition:
             for at, j in enumerate(order):
                 if size + len(order) - at <= best:
                     return
-                walk(size + 1, common & later[j])
+                walk(size + 1, common & later[j].keys())
 
-        for i in range(len(self.cells)):
-            walk(1, later[i])
+        for ahead in later:
+            walk(1, set(ahead))
         return best
 
     def verify(self):
@@ -136,11 +140,12 @@ class ShiftedPartition:
         total = Fraction(sum(pc.box.volume() for pc in self.cells), den**self.d)
         if total != 1:
             raise PartitionError(f"partition: cells tile volume {total}, expected 1")
-        for i, j, x in self.contacts:
-            if x.k == self.d:
-                raise PartitionError(
-                    f"partition: cells overlap: {self.cells[i].box} and {self.cells[j].box}"
-                )
+        for i, ahead in enumerate(self.later):
+            for j, x in ahead.items():
+                if x.k == self.d:
+                    raise PartitionError(
+                        f"partition: cells overlap: {self.cells[i].box} and {self.cells[j].box}"
+                    )
         cap = (Fraction(1, self.n) + 2 * self.delta) * den
         for pc in self.cells:
             for a, (lo, hi) in enumerate(pc.box):
@@ -242,9 +247,10 @@ def mono_parts(p: ShiftedPartition, g: GridColoring) -> list[Part]:
         raise ValueError(f"partition is ({p.d},{p.n}), coloring is ({g.d},{g.n})")
     colors = [g.color_at(pc.lattice) for pc in p.cells]
     table: list[list[int]] = [[] for _ in p.cells]
-    for i, j, _ in p.contacts:
-        table[i].append(j)
-        table[j].append(i)
+    for i, ahead in enumerate(p.later):
+        table[i] += ahead
+        for j in ahead:
+            table[j].append(i)
     parts = []
     for pid, comp in enumerate(_label(table, colors)[1]):
         members = tuple(sorted(comp))
@@ -318,8 +324,12 @@ def _strata(partition: ShiftedPartition, owner: dict[int, int]):
     (d-k-1)-dimensional meets of level-k pieces fixed on different axes.
     A clique grows one cell at a time, in increasing cell order, and its
     box (the cells' common intersection) with it, from the pair boxes of
-    `contacts`.  A clique of k+1 cells must meet in a box fixed on exactly
-    k axes, as in a simple partition; else an IdentityError names them.
+    `contacts`.  Only the box's free axes are intersected: the next cell
+    touches every cell of the clique, so by Helly's theorem for boxes it
+    meets their common box, and its interval on each fixed axis holds the
+    box's coordinate there.  A clique of k+1 cells must meet in a box fixed
+    on exactly k axes, as in a simple partition; else an IdentityError
+    names them.
 
     The rule.  On each fixed axis of a clique's box B, a cell lies on the
     + side (its low end is B's coordinate there), on the - side (its high
@@ -373,9 +383,7 @@ def _strata(partition: ShiftedPartition, owner: dict[int, int]):
     """
     d = partition.d
     boxes = [pc.box for pc in partition.cells]
-    later: list[dict[int, BoxCell]] = [{} for _ in boxes]
-    for i, j, x in partition.contacts:
-        later[i][j] = x
+    later = partition.later
     # bit o of low[t]: orthant o is on the - side of the clique's t-th fixed axis
     low = [sum(1 << o for o in range(1 << d) if not o >> t & 1) for t in range(d)]
     pieces: dict[tuple[int, ...], dict[BoxCell, None]] = {}
@@ -385,24 +393,23 @@ def _strata(partition: ShiftedPartition, owner: dict[int, int]):
     def full(s: int, k: int) -> bool:  # the orthant set s depends on each of the k axes
         return all((s ^ s >> (1 << t)) & low[t] for t in range(k))
 
-    def walk(clique, owners, cones, fixed, box, common):
+    def walk(clique, owners, cones, fixed, free, box, common):
         # fixed: (axis, coordinate) of the box's fixed axes, in the order
-        # they were fixed; bit t of an orthant is its side of fixed[t] (1
-        # for +), and cones[c] has bit o set when clique[c] covers orthant o
+        # they were fixed, and free its other axes; bit t of an orthant is
+        # its side of fixed[t] (1 for +), and cones[c] has bit o set when
+        # clique[c] covers orthant o
         k = len(clique)
         half = 1 << len(fixed)
         mixed = owners.count(owners[0]) < k
-        taken = {a for a, _ in fixed}
-        free = [a for a in range(d) if a not in taken]
         for j in common:
             bj = boxes[j]
             if k == 1:
                 x = later[clique[0]][j]
             else:
-                x = [
-                    (alo if alo > blo else blo, ahi if ahi < bhi else bhi)
-                    for (alo, ahi), (blo, bhi) in zip(box, bj)
-                ]
+                x = list(box)
+                for b in free:
+                    (alo, ahi), (blo, bhi) = box[b], bj[b]
+                    x[b] = (alo if alo > blo else blo, ahi if ahi < bhi else bhi)
             new = [a for a in free if x[a][0] == x[a][1]]
             if len(new) != 1:
                 raise IdentityError(
@@ -412,6 +419,7 @@ def _strata(partition: ShiftedPartition, owner: dict[int, int]):
                 )
             (a,) = new
             at = x[a][0]
+            still = [b for b in free if b != a]
             grown = []
             for i, ci in zip(clique, cones):
                 lo, hi = boxes[i][a]
@@ -430,10 +438,9 @@ def _strata(partition: ShiftedPartition, owner: dict[int, int]):
                 if len(covered) == k + 1:
                     pieces.setdefault(tuple(sorted(covered)), {})[BoxCell._from_valid(x)] = None
                 vol = 1
-                for b in free:
-                    if b != a:
-                        lo, hi = x[b]
-                        vol *= hi - lo
+                for b in still:
+                    lo, hi = x[b]
+                    vol *= hi - lo
                 if len(covered) == 2:  # complements: one test serves both
                     p, q = covered
                     if full(covered[p], k):
@@ -445,11 +452,13 @@ def _strata(partition: ShiftedPartition, owner: dict[int, int]):
                             volumes[p, k] += vol
             rest = common & later[j].keys()
             if rest and (grown_mixed or any(owner[c] != o for c in rest)):
-                walk(clique + (j,), owners + (o,), [*grown, cone], fixed + [(a, at)], x, rest)
+                walk(
+                    clique + (j,), owners + (o,), [*grown, cone], fixed + [(a, at)], still, x, rest
+                )
 
     for i, ahead in enumerate(later):
         if any(owner[j] != owner[i] for j in ahead):
-            walk((i,), (owner[i],), [1], [], boxes[i], set(ahead))
+            walk((i,), (owner[i],), [1], [], list(range(d)), boxes[i], set(ahead))
     return pieces, volumes
 
 
@@ -634,13 +643,14 @@ def assemble_and_audit(
 
     s_rows = []
     s_ok = True
+    s_slack = {
+        k: math.factorial(k + 1) * g_constant(d, k) * alpha * Fraction(n) ** (k - m)
+        for k in range(1, m + 1)
+    }
     for p in parts:
         for k in range(1, m + 1):
             value = S_table[(p.id, k)]
-            bnd = (
-                math.factorial(k + 1) * g_constant(d, k) * alpha * Fraction(n) ** (k - m)
-                + S_table[(p.id, k + 1)]
-            )
+            bnd = s_slack[k] + S_table[(p.id, k + 1)]
             ok = value <= bnd
             s_rows.append({"part": p.id, "k": k, "value": value, "bound": bnd, "ok": ok})
             if not ok:
@@ -649,10 +659,11 @@ def assemble_and_audit(
 
     g_rows = []
     g_ok = True
+    g_scale = {k: g_constant(d, k) * Fraction(n) ** k for k in range(1, d + 1)}
     for p in parts:
         for k in range(1, d + 1):
             skel = nrv.skeleton[p.id, k]
-            bnd = g_constant(d, k) * p.volume * Fraction(n) ** k
+            bnd = g_scale[k] * p.volume
             ok = skel <= bnd
             g_rows.append({"part": p.id, "k": k, "skeleton": skel, "bound": bnd, "ok": ok})
             if not ok:

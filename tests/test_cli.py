@@ -35,6 +35,44 @@ def load_schema(name):
         return json.load(fh)
 
 
+# ---------------------------------------------------------------- JSON output
+
+
+def _random_doc(rng, depth):
+    """A random JSON document: every scalar type, odd strings and keys,
+    empty and nested containers, tuples, subclasses of int and str."""
+    scalars = [
+        0, -7, 10**30, True, False, None, 0.1, -2.5e-300, 1e300, float("nan"),
+        float("inf"), float("-inf"), "", "a/b", 'q"\\', "\x00\n\t", "\u00e9\u2603\U0001f600",
+        type("Sub", (int,), {})(5), type("SubS", (str,), {})("s"),
+    ]
+    keys = ["", "k", "\u00e9", 'x"y', 3, -1.5, True, None]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(scalars)
+    size = rng.randrange(4)
+    if rng.random() < 0.5:
+        return {rng.choice(keys): _random_doc(rng, depth - 1) for _ in range(size)}
+    items = [_random_doc(rng, depth - 1) for _ in range(size)]
+    return tuple(items) if rng.random() < 0.3 else items
+
+
+def test_json_text_is_json_dumps_indent_2():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(2000):
+        doc = _random_doc(rng, 4)
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_text_rejects_what_json_rejects():
+    for doc in [{"a": [Fraction(1, 2)]}, [object()], {(1, 2): 0}]:
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+
 # ---------------------------------------------------------------- analyze
 
 
@@ -150,12 +188,16 @@ def test_certify_malformed_exit_2(tmp_path, capsys):
 
 
 def test_certify_budget_exit_2(tmp_path, capsys):
+    # one n past the row of its d, and a d with no row; the message names
+    # the table and its rows
     from cubecolor.search import random_coloring
 
-    path = write_coloring(tmp_path, "big.txt", random_coloring(2, 9, 2, 0).to_text())
-    code, _, err = run(capsys, "certify", path)
-    assert code == 2
-    assert "budget" in err
+    for d, n in [(2, cli.CERTIFY_MAX_N[2] + 1), (5, cli.CERTIFY_MAX_N[5] + 1), (6, 2)]:
+        path = write_coloring(tmp_path, "big.txt", random_coloring(d, n, 2, 0).to_text())
+        code, out, err = run(capsys, "certify", path)
+        assert (code, out) == (2, "")
+        assert f"certify: d={d}, n={n} is outside the budget table CERTIFY_MAX_N" in err
+        assert "d=3: n <= 20, d=4: n <= 6" in err
 
 
 def test_certify_ring_option_rejected(tmp_path, capsys):
@@ -199,6 +241,28 @@ def test_certify_d3_matches_stored_report(capsys, name):
     assert code == 0
     assert json.loads(out)["failures"] == []
     assert out == (DATA / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["certify_d4_n4_c5", "certify_d4_n5_c2", "certify_d5_n2_c6"])
+def test_certify_past_d3_matches_stored_report(capsys, name):
+    # the CLI twin of the library test of the stored d = 4, 5 reports, now
+    # that the budget table takes them; d5_n3_c2 runs through the library
+    # and in CI, as it takes seconds
+    code, out, _ = run(capsys, "certify", str(DATA / f"{name}.txt"))
+    assert code == 0
+    assert out == (DATA / f"{name}.json").read_text()
+
+
+def test_main_dispatches_a_command_replaced_after_its_first_call(tmp_path, capsys, monkeypatch):
+    # each call dispatches to the module's `cmd_*` as it is then: a
+    # replacement made after a first call (a test's, the bench tracer's)
+    # is the one that runs
+    path = write_coloring(tmp_path, "h.txt", STRIPES)
+    assert run(capsys, "certify", path)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_certify", lambda args: seen.append(args.coloring) or 7)
+    assert run(capsys, "certify", path)[0] == 7
+    assert seen == [path]
 
 
 def test_certify_no_skeleton_option_rejected(capsys):

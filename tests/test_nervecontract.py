@@ -115,7 +115,7 @@ def cliques(p, key):
     strictly increasing `key[i]`, each once as a tuple of cell ids, in
     lexicographic order: the sets of such cells with a common point."""
     later = [set() for _ in p.cells]
-    for i, j, _ in p.contacts:
+    for i, j, _ in contacts([pc.box for pc in p.cells]):
         if key[i] > key[j]:
             i, j = j, i
         if key[i] < key[j]:
@@ -873,8 +873,9 @@ def test_audit_alpha_definition():
     "name", ["certify_d4_n4_c5", "certify_d4_n5_c2", "certify_d5_n2_c6", "certify_d5_n3_c2"]
 )
 def test_certify_past_the_cli_range_matches_stored_report(name):
-    # random_coloring(d, n, colors, 1) at shapes the CLI does not accept yet;
-    # the stored bytes are what `certify` prints.  d5_n2_c6 has a 5-simplex
+    # random_coloring(d, n, colors, 1) through the library; test_cli runs the
+    # same files through `certify`, whose bytes these are.  d5_n2_c6 has a
+    # 5-simplex
     g = parse_coloring((DATA / f"{name}.txt").read_text())
     rep = certify_coloring(g)
     assert rep.failures == []
